@@ -91,9 +91,9 @@ store::workload_config base_config(const util::cli_flags& flags, int threads) {
 /// One cell: build the store for this policy, run the workload, sample the
 /// retire-queue depth, then drain. Ops picks the read discipline (counted
 /// vs borrowed vs the policy's own guard).
-template <typename Ops, typename PolicyOrDomain>
+template <typename Ops>
 run_row run_store(const store::workload_config& cfg) {
-    using store_t = store::kv_store<PolicyOrDomain, std::uint64_t, std::uint64_t>;
+    using store_t = typename Ops::store_t;
     store_t s(typename store_t::config{8, 64});
     Ops ops(s);
     const auto res = store::run_workload(ops, cfg);
@@ -112,12 +112,12 @@ run_row run_store(const store::workload_config& cfg) {
 // the ones after it.
 using run_fn = run_row (*)(const store::workload_config&);
 constexpr run_fn kPolicyMatrix[] = {
-    &run_store<store::kv_store_counted_ops<domain>, domain>,
-    &run_store<store::kv_store_borrow_ops<domain>, domain>,
-    &run_store<store::kv_store_policy_ops<smr::ebr<>>, smr::ebr<>>,
-    &run_store<store::kv_store_policy_ops<smr::hp<>>, smr::hp<>>,
-    &run_store<store::kv_store_policy_ops<smr::deferred<>>, smr::deferred<>>,
-    &run_store<store::kv_store_policy_ops<smr::leaky<>>, smr::leaky<>>,
+    &run_store<store::kv_store_counted_ops<domain>>,
+    &run_store<store::kv_store_borrow_ops<domain>>,
+    &run_store<store::kv_store_policy_ops<smr::ebr<>>>,
+    &run_store<store::kv_store_policy_ops<smr::hp<>>>,
+    &run_store<store::kv_store_policy_ops<smr::deferred<>>>,
+    &run_store<store::kv_store_policy_ops<smr::leaky<>>>,
 };
 
 }  // namespace

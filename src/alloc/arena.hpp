@@ -60,9 +60,8 @@
 //                  arena's remote heads are instrumented atomics, so the
 //                  arena's own protocol is schedule-explorable.
 //
-// Environment gates (latched at first use):
+// Environment gate (latched at first use):
 //   LFRC_ARENA=0            bypass — route straight to the system heap
-//   LFRC_ARENA_HUGEPAGES=1  back chunks with MADV_HUGEPAGE mmap (Linux)
 #pragma once
 
 #include <atomic>
@@ -124,10 +123,7 @@ class arena {
     static constexpr std::size_t magazine_cap = 64;
 
     arena() {
-        const bool huge = hugepages_requested();
-        for (std::size_t k = 0; k < num_classes; ++k) {
-            classes_[k].emplace(class_sizes[k], huge);
-        }
+        for (std::size_t k = 0; k < num_classes; ++k) classes_[k].emplace(class_sizes[k]);
     }
     arena(const arena&) = delete;
     arena& operator=(const arena&) = delete;
@@ -358,8 +354,8 @@ class arena {
     };
 
     struct class_state {
-        class_state(std::size_t payload, bool hugepages)
-            : dir(payload + header_bytes, /*track_stats=*/false, hugepages) {}
+        explicit class_state(std::size_t payload)
+            : dir(payload + header_bytes, /*track_stats=*/false) {}
         slab_directory dir;
         shard shards[util::thread_registry::max_threads];
     };
@@ -447,11 +443,6 @@ class arena {
                 return;
             }
         }
-    }
-
-    static bool hugepages_requested() noexcept {
-        const char* e = std::getenv("LFRC_ARENA_HUGEPAGES");
-        return e != nullptr && e[0] == '1' && e[1] == '\0';
     }
 
     std::optional<class_state> classes_[num_classes];

@@ -15,11 +15,6 @@
 // resolves indices. Consumers string slots together with the 32-bit-tag /
 // 32-bit-index packed head word (tagged_head below) so a single 64-bit CAS
 // both swings the list and advances the ABA tag.
-//
-// Optional hugepage backing (arena: LFRC_ARENA_HUGEPAGES=1): chunks come
-// from anonymous mmap rounded to 2 MiB and advised MADV_HUGEPAGE, so slab
-// walks touch fewer TLB entries. Non-Linux hosts silently fall back to the
-// aligned-new path.
 #pragma once
 
 #include <atomic>
@@ -27,10 +22,6 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "alloc/stats.hpp"
 
@@ -65,18 +56,10 @@ class slab_directory {
     /// allocation counters — infrastructure pools (DCAS descriptors, epoch
     /// retire nodes, the arena's own slabs) must not pollute the per-object
     /// leak accounting tests and E4 sample.
-    explicit slab_directory(std::size_t slot_bytes, bool track_stats = true,
-                            bool hugepages = false) noexcept
+    explicit slab_directory(std::size_t slot_bytes, bool track_stats = true) noexcept
         : slot_bytes_((slot_bytes + slot_align - 1) / slot_align * slot_align),
           chunk_bytes_(slot_bytes_ * slots_per_chunk),
-#if defined(__linux__)
-          hugepages_(hugepages),
-#else
-          hugepages_(false),
-#endif
-          track_stats_(track_stats) {
-        (void)hugepages;
-    }
+          track_stats_(track_stats) {}
     slab_directory(const slab_directory&) = delete;
     slab_directory& operator=(const slab_directory&) = delete;
 
@@ -123,33 +106,12 @@ class slab_directory {
     }
 
   private:
-    static constexpr std::size_t huge_page_bytes = std::size_t{2} << 20;
-
-    std::size_t map_bytes() const noexcept {
-        return (chunk_bytes_ + huge_page_bytes - 1) / huge_page_bytes * huge_page_bytes;
-    }
-
     std::byte* acquire_chunk() {
-#if defined(__linux__)
-        if (hugepages_) {
-            void* p = ::mmap(nullptr, map_bytes(), PROT_READ | PROT_WRITE,
-                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-            if (p == MAP_FAILED) throw std::bad_alloc{};
-            ::madvise(p, map_bytes(), MADV_HUGEPAGE);  // advisory; THP optional
-            return static_cast<std::byte*>(p);
-        }
-#endif
         return static_cast<std::byte*>(
             ::operator new[](chunk_bytes_, std::align_val_t{slot_align}));
     }
 
     void release_chunk(std::byte* chunk) noexcept {
-#if defined(__linux__)
-        if (hugepages_) {
-            ::munmap(chunk, map_bytes());
-            return;
-        }
-#endif
         ::operator delete[](chunk, std::align_val_t{slot_align});
     }
 
@@ -169,7 +131,6 @@ class slab_directory {
 
     const std::size_t slot_bytes_;
     const std::size_t chunk_bytes_;
-    const bool hugepages_;
     const bool track_stats_;
     std::atomic<std::uint64_t> fresh_{0};
     std::atomic<std::byte*> chunks_[max_chunks] = {};

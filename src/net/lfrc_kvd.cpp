@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
     if (policy == "deferred") return serve<lfrc::smr::deferred<>>(cfg);
     if (policy == "ebr") return serve<lfrc::smr::ebr<>>(cfg);
-    if (policy == "borrowed") return serve<lfrc::domain>(cfg);
+    if (policy == "borrowed") return serve<lfrc::smr::borrowed<lfrc::domain>>(cfg);
     if (policy == "leaky") return serve<lfrc::smr::leaky<>>(cfg);
     std::fprintf(stderr,
                  "lfrc_kvd: unknown --policy=%s (want deferred|ebr|borrowed|leaky; "

@@ -104,11 +104,11 @@ struct server_totals {
     std::uint64_t io_error_closes = 0;  ///< EPIPE/ECONNRESET/read errors
 };
 
-template <typename PolicyOrDomain>
+template <typename Policy>
 class kv_server {
   public:
-    using store_t = store::kv_store<PolicyOrDomain, std::uint64_t, std::uint64_t>;
-    using policy_t = typename store_t::policy_t;
+    using store_t = store::kv_store<Policy, std::uint64_t, std::uint64_t>;
+    using policy_t = Policy;
 
     // The tick-wide outer guard nests per-op guards inside it; hp's
     // thread-global hazard slots forbid nested guards (and hp is exactly

@@ -10,13 +10,13 @@
 // transfers the link's count and the last release frees the node through
 // lfrc_visit_children.
 //
-// `borrowed` differs only in traversal grade: the guard pins one epoch for
-// its lifetime, traverse() reads raw pointers under that pin (zero count
-// traffic per hop — the E7/E9 fast path), and upgrade() promotes the
-// current slot to a counted reference with Domain::try_promote before any
-// write. Strong protect() loops peek+try_promote: it can only keep failing
-// while the source field keeps changing, because a live field holds a count
-// on its referent.
+// `borrowed` derives from `counted` and differs only in its guard's
+// traversal grade: the guard pins one epoch for its lifetime, traverse()
+// reads raw pointers under that pin (zero count traffic per hop — the
+// E7/E9 fast path), and upgrade() promotes the current slot to a counted
+// reference with Domain::try_promote before any write. Strong protect()
+// loops peek+try_promote: it can only keep failing while the source field
+// keeps changing, because a live field holds a count on its referent.
 #pragma once
 
 #include <cassert>
@@ -240,40 +240,17 @@ template <typename Domain>
 using counted_flag_blind = counted<Domain, /*Mutated=*/false, /*FlagBlind=*/true>;
 #endif
 
-/// Counted ownership, borrowed reads. Strong operations (protect, vprotect,
-/// every write) are identical to `counted`; traverse/vtraverse ride the
+/// Counted ownership, borrowed reads. Everything but the guard is
+/// `counted`'s: the fields, owner, link operations and vslot CASNs are
+/// inherited; the guard's strong operations (protect, vprotect) acquire
+/// counted references as counted's do, while traverse/vtraverse ride the
 /// guard's epoch pin with zero count traffic.
 template <typename Domain>
-class borrowed {
+class borrowed : public counted<Domain> {
+    using base = counted<Domain>;
+
   public:
-    using domain_type = Domain;
-
     static constexpr const char* name() noexcept { return "borrowed"; }
-    static constexpr bool counted_links = true;
-    static constexpr bool has_lazy_traverse = true;
-    static constexpr std::size_t guard_slots = 4;
-
-    template <typename Node>
-    using link = typename Domain::template ptr_field<Node>;
-    using flag = typename Domain::flag_field;
-    template <typename T>
-    using vslot = typename Domain::template ll_field<T>;
-
-    template <typename Node>
-    using node_base = typename counted<Domain>::template node_base<Node>;
-    template <typename Node>
-    using owner = typename counted<Domain>::template owner<Node>;
-
-    template <typename Node, typename... Args>
-    owner<Node> make_owner(Args&&... args) {
-        return counted_.template make_owner<Node>(std::forward<Args>(args)...);
-    }
-    template <typename Node>
-    void publish_ok(owner<Node>&) noexcept {}
-
-    struct thread_scope {
-        explicit thread_scope(borrowed&) noexcept {}
-    };
 
     class guard {
       public:
@@ -295,7 +272,7 @@ class borrowed {
         /// on its referent: try_promote can only observe zero after the
         /// field moved off the pointer we peeked.
         template <typename Node>
-        Node* protect(std::size_t i, link<Node>& src) {
+        Node* protect(std::size_t i, typename base::template link<Node>& src) {
             for (;;) {
                 Node* raw = Domain::peek(src);
                 if (raw == nullptr) {
@@ -313,7 +290,7 @@ class borrowed {
         /// pin (counted objects free through the epoch domain). No write
         /// license — upgrade() first.
         template <typename Node>
-        Node* traverse(std::size_t i, link<Node>& src) {
+        Node* traverse(std::size_t i, typename base::template link<Node>& src) {
             Node* raw = Domain::peek(src);
             set(i, raw, false);
             return raw;
@@ -350,7 +327,7 @@ class borrowed {
         }
 
         template <typename T>
-        T* vprotect(std::size_t i, vslot<T>& src, std::uint64_t& ver) {
+        T* vprotect(std::size_t i, typename base::template vslot<T>& src, std::uint64_t& ver) {
             typename Domain::template local_ptr<T> lp;
             ver = Domain::load_linked(src, lp).version;
             T* raw = lp.get();
@@ -361,7 +338,7 @@ class borrowed {
         /// validation, with the raw pointer outliving the call under our
         /// own pin (load_borrowed's internal pin nests re-entrantly).
         template <typename T>
-        T* vtraverse(std::size_t i, vslot<T>& src, std::uint64_t& ver) {
+        T* vtraverse(std::size_t i, typename base::template vslot<T>& src, std::uint64_t& ver) {
             auto b = Domain::load_borrowed(src, &ver);
             T* raw = b.get();
             set(i, raw, false);
@@ -382,59 +359,15 @@ class borrowed {
             if (slots_[i].counted) Domain::destroy(slots_[i].p);
         }
         void release_all() {
-            for (std::size_t i = 0; i < guard_slots; ++i) {
+            for (std::size_t i = 0; i < base::guard_slots; ++i) {
                 release(i);
                 slots_[i] = {};
             }
         }
 
-        slot_t slots_[guard_slots] = {};
+        slot_t slots_[base::guard_slots] = {};
         reclaim::epoch_domain::guard pin_{reclaim::epoch_domain::global()};
     };
-
-    // Strong/link operations are the counted ones verbatim.
-    template <typename Node>
-    Node* peek(link<Node>& A) noexcept {
-        return Domain::peek(A);
-    }
-    template <typename Node>
-    void init_link(link<Node>& A, Node* v) {
-        Domain::store(A, v);
-    }
-    template <typename Node>
-    bool cas_link(link<Node>& A, Node* old0, Node* new0) {
-        return Domain::cas(A, old0, new0);
-    }
-    template <typename Node>
-    bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
-                        bool new_flag) {
-        return Domain::dcas_ptr_flag(A, F, old0, old_flag, new0, new_flag);
-    }
-    bool flag_load(flag& f) noexcept { return f.load(); }
-    bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
-    template <typename Node>
-    void retire_unlinked(Node*) noexcept {}
-    template <typename Node>
-    void reset_chain(link<Node>& head) {
-        Domain::store(head, static_cast<Node*>(nullptr));
-    }
-    template <typename Node>
-    void register_root(link<Node>&) noexcept {}
-    template <typename T>
-    bool vinstall_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
-        return Domain::store_conditional_if_flag(s, typename Domain::link_token{ver}, old0,
-                                                 new0, dead, /*flag_required=*/false);
-    }
-    template <typename T>
-    bool vclaim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
-        return Domain::claim_and_set_flag(s, typename Domain::link_token{ver}, old0, dead);
-    }
-
-    std::uint64_t pending() const noexcept { return reclaim::epoch_domain::global().pending(); }
-    std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
-
-  private:
-    counted<Domain> counted_;
 };
 
 }  // namespace lfrc::smr

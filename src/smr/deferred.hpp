@@ -413,24 +413,17 @@ class runtime {
 /// and reset_chain is one head release), they just do the bookkeeping in
 /// the calling thread's delta table instead of the node's shared count.
 template <typename Engine = dcas::mcas_engine>
-class deferred {
+class deferred : public cell_ops<Engine> {
     using rt = deferred_detail::runtime;
+    using ops = cell_ops<Engine>;
 
   public:
-    using engine_type = Engine;
-
     static constexpr const char* name() noexcept { return "deferred"; }
     static constexpr bool counted_links = true;
     // Traversing a logically deleted node is safe: the epoch pin keeps its
     // frozen successor chain allocated for the guard's lifetime.
     static constexpr bool has_lazy_traverse = true;
     static constexpr std::size_t guard_slots = 4;
-
-    template <typename Node>
-    using link = cell_link<Node>;
-    using flag = cell_flag<Engine>;
-    template <typename T>
-    using vslot = cell_vslot<T>;
 
     /// Adapts smr_children to the reviewer's child-release walk.
     template <typename Node>
@@ -499,7 +492,7 @@ class deferred {
     /// destructor body flushes the thread's delta table BEFORE the pin_
     /// member releases the epoch — the safety invariant requires every
     /// table delta to be applied while its recorder is still pinned.
-    class guard {
+    class guard : public ops::stateless_guard {
       public:
         explicit guard(deferred&) noexcept : c_(&rt::instance().cache()) { ++c_->depth; }
         ~guard() {
@@ -508,50 +501,15 @@ class deferred {
         guard(const guard&) = delete;
         guard& operator=(const guard&) = delete;
 
-        void step() noexcept {}
-        template <typename Node>
-        Node* protect(std::size_t, link<Node>& src) noexcept {
-            return dcas::decode_ptr<Node>(Engine::read(src.cell()));
-        }
-        template <typename Node>
-        Node* traverse(std::size_t i, link<Node>& src) noexcept {
-            return protect<Node>(i, src);
-        }
-        template <typename Node>
-        void protect_new(std::size_t, Node*) noexcept {}
-        bool upgrade(std::size_t) noexcept { return true; }
-        void advance(std::size_t, std::size_t) noexcept {}
-        void clear(std::size_t) noexcept {}
-        template <typename T>
-        T* vprotect(std::size_t, vslot<T>& s, std::uint64_t& ver) {
-            // version / pointer / version: equal versions bracket a
-            // consistent pair (the manual policies' vread).
-            for (;;) {
-                const std::uint64_t v = dcas::decode_count(Engine::read(s.version_cell()));
-                const std::uint64_t raw = Engine::read(s.ptr_cell());
-                if (dcas::decode_count(Engine::read(s.version_cell())) != v) continue;
-                ver = v;
-                return dcas::decode_ptr<T>(raw);
-            }
-        }
-        template <typename T>
-        T* vtraverse(std::size_t i, vslot<T>& s, std::uint64_t& ver) {
-            return vprotect<T>(i, s, ver);
-        }
-
       private:
         rt::slot_cache* c_;
         reclaim::epoch_domain::guard pin_{reclaim::epoch_domain::global()};
     };
 
-    // ---- link / flag / vslot operations ---------------------------------
+    // ---- link / vslot writes: cell_ops' raw CAS/DCAS/CASN plus deltas ----
 
     template <typename Node>
-    Node* peek(link<Node>& A) noexcept {
-        return dcas::decode_ptr<Node>(Engine::read(A.cell()));
-    }
-    template <typename Node>
-    void init_link(link<Node>& A, Node* v) {
+    void init_link(cell_link<Node>& A, Node* v) {
         auto& r = rt::instance();
         r.add_ref(v);
         Node* old = A.exclusive_get();
@@ -562,10 +520,10 @@ class deferred {
     /// the transferred counts are accounted before any window in which
     /// another thread could observe the new link.
     template <typename Node>
-    bool cas_link(link<Node>& A, Node* old0, Node* new0) {
+    bool cas_link(cell_link<Node>& A, Node* old0, Node* new0) {
         auto& r = rt::instance();
         r.add_ref(new0);
-        if (Engine::cas(A.cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0))) {
+        if (ops::cas_link(A, old0, new0)) {
             r.release(old0);
             return true;
         }
@@ -573,26 +531,23 @@ class deferred {
         return false;
     }
     template <typename Node>
-    bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
-                        bool new_flag) {
+    bool dcas_link_flag(cell_link<Node>& A, typename ops::flag& F, Node* old0, bool old_flag,
+                        Node* new0, bool new_flag) {
         auto& r = rt::instance();
         r.add_ref(new0);
-        if (Engine::dcas(A.cell(), F.cell(), dcas::encode_ptr(old0), flag::encode(old_flag),
-                         dcas::encode_ptr(new0), flag::encode(new_flag))) {
+        if (ops::dcas_link_flag(A, F, old0, old_flag, new0, new_flag)) {
             r.release(old0);
             return true;
         }
         r.release(new0);
         return false;
     }
-    bool flag_load(flag& f) noexcept { return f.load(); }
-    bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
 
     template <typename Node>
     void retire_unlinked(Node*) noexcept {}  // the count transfer already did it
 
     template <typename Node>
-    void reset_chain(link<Node>& head) {
+    void reset_chain(cell_link<Node>& head) {
         // Severing the head reference unravels the chain iteratively
         // through the review queue (children release on each free).
         Node* n = head.exclusive_get();
@@ -600,18 +555,14 @@ class deferred {
         rt::instance().release(n);
     }
     template <typename Node>
-    void register_root(link<Node>&) noexcept {}
+    void register_root(cell_link<Node>&) noexcept {}
 
     template <typename T>
-    bool vinstall_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
+    bool vinstall_if_live(cell_vslot<T>& s, std::uint64_t ver, T* old0, T* new0,
+                          typename ops::flag& dead) {
         auto& r = rt::instance();
         r.add_ref(new0);
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0)},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(false)},
-        };
-        if (!Engine::casn(ops, 3)) {
+        if (!ops::install_if_live(s, ver, old0, new0, dead)) {
             r.release(new0);
             return false;
         }
@@ -619,13 +570,9 @@ class deferred {
         return true;
     }
     template <typename T>
-    bool vclaim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(static_cast<T*>(nullptr))},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(true)},
-        };
-        if (!Engine::casn(ops, 3)) return false;
+    bool vclaim_mark_dead(cell_vslot<T>& s, std::uint64_t ver, T* old0,
+                          typename ops::flag& dead) {
+        if (!ops::claim_mark_dead(s, ver, old0, dead)) return false;
         rt::instance().release(old0);
         return true;
     }

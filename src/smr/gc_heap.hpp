@@ -40,22 +40,14 @@
 
 namespace lfrc::smr {
 
-class gc_heap {
+class gc_heap : public cell_ops<dcas::locked_engine> {
   public:
-    using engine_type = dcas::locked_engine;
-
     explicit gc_heap(gc::heap& h) noexcept : heap_(&h) {}
 
     static constexpr const char* name() noexcept { return "gc-heap"; }
     static constexpr bool counted_links = false;
     static constexpr bool has_lazy_traverse = true;
     static constexpr std::size_t guard_slots = 4;
-
-    template <typename Node>
-    using link = cell_link<Node>;
-    using flag = cell_flag<dcas::locked_engine>;
-    template <typename T>
-    using vslot = cell_vslot<T>;
 
     /// Provides the member gc_traits<Node> looks for: trace = mark every
     /// pointer-bearing cell smr_children enumerates (flags are never
@@ -174,32 +166,8 @@ class gc_heap {
         gc::local<char> s0_, s1_, s2_, s3_;
     };
 
-    // ---- link / flag operations (locked engine on raw cells) ------------
+    // ---- reclamation hooks (link/flag operations are cell_ops') ---------
 
-    template <typename Node>
-    static Node* peek(link<Node>& A) noexcept {
-        return dcas::decode_ptr<Node>(dcas::locked_engine::read(A.cell()));
-    }
-    template <typename Node>
-    static void init_link(link<Node>& A, Node* v) noexcept {
-        A.exclusive_set(v);
-    }
-    template <typename Node>
-    static bool cas_link(link<Node>& A, Node* old0, Node* new0) {
-        return dcas::locked_engine::cas(A.cell(), dcas::encode_ptr(old0),
-                                        dcas::encode_ptr(new0));
-    }
-    template <typename Node>
-    static bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
-                               bool new_flag) {
-        return dcas::locked_engine::dcas(A.cell(), F.cell(), dcas::encode_ptr(old0),
-                                         flag::encode(old_flag), dcas::encode_ptr(new0),
-                                         flag::encode(new_flag));
-    }
-    static bool flag_load(flag& f) noexcept { return f.load(); }
-    static bool flag_cas(flag& f, bool expected, bool desired) {
-        return f.cas(expected, desired);
-    }
     template <typename Node>
     static void retire_unlinked(Node*) noexcept {}  // unreachable = garbage
 

@@ -38,22 +38,16 @@
 
 namespace lfrc::smr {
 
-/// Shared field types + engine-mediated link/flag/vslot operations for the
-/// manual policies. `Derived` supplies retire_object (where displaced
+/// The manual policies' shared half: cell_ops supplies the fields and the
+/// raw engine operations; `Derived` supplies retire_object (where displaced
 /// values and unlinked nodes go).
 template <typename Engine, typename Derived>
-class manual_policy {
-  public:
-    using engine_type = Engine;
+class manual_policy : public cell_ops<Engine> {
+    using ops = cell_ops<Engine>;
 
+  public:
     static constexpr bool counted_links = false;
     static constexpr std::size_t guard_slots = 4;
-
-    template <typename Node>
-    using link = cell_link<Node>;
-    using flag = cell_flag<Engine>;
-    template <typename T>
-    using vslot = cell_vslot<T>;
 
     /// Nodes of manual policies are plain heap objects; counted_base routes
     /// them through the allocation tracker (leak accounting, and the sim
@@ -105,30 +99,6 @@ class manual_policy {
         explicit thread_scope(Derived&) noexcept {}
     };
 
-    // ---- link / flag / vslot operations ---------------------------------
-
-    template <typename Node>
-    static Node* peek(link<Node>& A) noexcept {
-        return dcas::decode_ptr<Node>(Engine::read(A.cell()));
-    }
-    template <typename Node>
-    static void init_link(link<Node>& A, Node* v) noexcept {
-        A.exclusive_set(v);
-    }
-    template <typename Node>
-    static bool cas_link(link<Node>& A, Node* old0, Node* new0) {
-        return Engine::cas(A.cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0));
-    }
-    template <typename Node>
-    static bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
-                        bool new_flag) {
-        return Engine::dcas(A.cell(), F.cell(), dcas::encode_ptr(old0),
-                            flag::encode(old_flag), dcas::encode_ptr(new0),
-                            flag::encode(new_flag));
-    }
-    static bool flag_load(flag& f) noexcept { return f.load(); }
-    static bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
-
     template <typename Node>
     static void retire_unlinked(Node* n) {
         Derived::retire_object(n);
@@ -139,7 +109,7 @@ class manual_policy {
     /// declare smr_dispose() to free satellite allocations (the kv entry's
     /// value box) before the node itself goes.
     template <typename Node>
-    static void reset_chain(link<Node>& head) {
+    static void reset_chain(cell_link<Node>& head) {
         Node* n = head.exclusive_get();
         head.exclusive_set(nullptr);
         while (n != nullptr) {
@@ -150,50 +120,22 @@ class manual_policy {
         }
     }
     template <typename Node>
-    static void register_root(link<Node>&) noexcept {}
+    static void register_root(cell_link<Node>&) noexcept {}
 
-    /// CASN {ptr old->new, version v->v+1, flag false->false}: install a
-    /// value iff the slot is unchanged AND the entry is still live — the
-    /// manual mirror of the domain's store_conditional_if_flag.
+    /// The CASN winner retires the value it displaced.
     template <typename T>
-    static bool vinstall_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0)},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(false)},
-        };
-        if (!Engine::casn(ops, 3)) return false;
+    static bool vinstall_if_live(cell_vslot<T>& s, std::uint64_t ver, T* old0, T* new0,
+                                 typename ops::flag& dead) {
+        if (!ops::install_if_live(s, ver, old0, new0, dead)) return false;
         if (old0 != nullptr) Derived::retire_object(old0);
         return true;
     }
-    /// CASN {ptr old->null, version v->v+1, flag false->true}: the erase
-    /// claim — take the value and kill the entry in one step, so a racing
-    /// write can never land in a claimed entry (store.hpp's invariant).
     template <typename T>
-    static bool vclaim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(static_cast<T*>(nullptr))},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(true)},
-        };
-        if (!Engine::casn(ops, 3)) return false;
+    static bool vclaim_mark_dead(cell_vslot<T>& s, std::uint64_t ver, T* old0,
+                                 typename ops::flag& dead) {
+        if (!ops::claim_mark_dead(s, ver, old0, dead)) return false;
         if (old0 != nullptr) Derived::retire_object(old0);
         return true;
-    }
-
-  protected:
-    /// The validate loop shared by the ebr/leaky versioned reads (and hp's,
-    /// which adds an announce between the reads): version, pointer,
-    /// version — equal versions bracket a consistent pair.
-    template <typename T>
-    static T* vread(vslot<T>& s, std::uint64_t& ver) {
-        for (;;) {
-            const std::uint64_t v = dcas::decode_count(Engine::read(s.version_cell()));
-            const std::uint64_t raw = Engine::read(s.ptr_cell());
-            if (dcas::decode_count(Engine::read(s.version_cell())) != v) continue;
-            ver = v;
-            return dcas::decode_ptr<T>(raw);
-        }
     }
 };
 
@@ -211,31 +153,10 @@ class ebr : public manual_policy<Engine, ebr<Engine>> {
         reclaim::epoch_domain::global().retire(p);
     }
 
-    class guard {
+    /// Stateless slots under one epoch pin for the guard's lifetime.
+    class guard : public base::stateless_guard {
       public:
         explicit guard(ebr&) noexcept {}
-        void step() noexcept {}
-        template <typename Node>
-        Node* protect(std::size_t, typename base::template link<Node>& src) noexcept {
-            return base::peek(src);
-        }
-        template <typename Node>
-        Node* traverse(std::size_t, typename base::template link<Node>& src) noexcept {
-            return base::peek(src);
-        }
-        template <typename Node>
-        void protect_new(std::size_t, Node*) noexcept {}
-        bool upgrade(std::size_t) noexcept { return true; }
-        void advance(std::size_t, std::size_t) noexcept {}
-        void clear(std::size_t) noexcept {}
-        template <typename T>
-        T* vprotect(std::size_t, typename base::template vslot<T>& s, std::uint64_t& ver) {
-            return base::template vread<T>(s, ver);
-        }
-        template <typename T>
-        T* vtraverse(std::size_t i, typename base::template vslot<T>& s, std::uint64_t& ver) {
-            return vprotect<T>(i, s, ver);
-        }
 
       private:
         reclaim::epoch_domain::guard pin_{reclaim::epoch_domain::global()};
@@ -342,9 +263,8 @@ class hp : public manual_policy<Engine, hp<Engine>> {
     };
 
     std::uint64_t pending() const noexcept { return reclaim::hazard_domain::global().pending(); }
-    std::uint64_t drain(int rounds) {
+    std::uint64_t drain(int) {
         reclaim::hazard_domain::global().drain_all();
-        detail::drain_epoch_domain(rounds);  // engine descriptors
         return reclaim::hazard_domain::global().pending();
     }
 };
@@ -363,38 +283,14 @@ class leaky : public manual_policy<Engine, leaky<Engine>> {
     template <typename T>
     static void retire_object(T*) noexcept {}  // leak, by definition
 
-    class guard {
+    /// Nothing is ever freed, so a raw read is forever safe.
+    class guard : public base::stateless_guard {
       public:
         explicit guard(leaky&) noexcept {}
-        void step() noexcept {}
-        template <typename Node>
-        Node* protect(std::size_t, typename base::template link<Node>& src) noexcept {
-            return base::peek(src);
-        }
-        template <typename Node>
-        Node* traverse(std::size_t, typename base::template link<Node>& src) noexcept {
-            return base::peek(src);
-        }
-        template <typename Node>
-        void protect_new(std::size_t, Node*) noexcept {}
-        bool upgrade(std::size_t) noexcept { return true; }
-        void advance(std::size_t, std::size_t) noexcept {}
-        void clear(std::size_t) noexcept {}
-        template <typename T>
-        T* vprotect(std::size_t, typename base::template vslot<T>& s, std::uint64_t& ver) {
-            return base::template vread<T>(s, ver);
-        }
-        template <typename T>
-        T* vtraverse(std::size_t i, typename base::template vslot<T>& s, std::uint64_t& ver) {
-            return vprotect<T>(i, s, ver);
-        }
     };
 
     std::uint64_t pending() const noexcept { return 0; }
-    std::uint64_t drain(int rounds) {
-        detail::drain_epoch_domain(rounds);  // engine descriptors only
-        return 0;
-    }
+    std::uint64_t drain(int) noexcept { return 0; }
 };
 
 }  // namespace lfrc::smr

@@ -16,6 +16,11 @@
 //   deferred  thread-local deferred RC (ABW/libsref): epoch-pinned guards,
 //             per-thread delta tables, review queue for zero-detection
 //
+// Two families implement them. counted and borrowed are domain-backed
+// (borrowed derives from counted and owns only its guard); the other five
+// are cell-backed and derive their fields, link/flag/vslot operations and,
+// for ebr/leaky/deferred, their guard from cell_ops below.
+//
 // This mirrors Meyer & Wolff's observation that reclamation factors out of
 // a lock-free structure behind a guard/retire interface, and Anderson/
 // Blelloch/Wei's that counted and manual SMR are interchangeable behind it.
@@ -24,9 +29,9 @@
 //
 // Types:
 //   P::link<Node>   one-word pointer field linking Node objects. For the
-//                   counted policies this is Domain::ptr_field (the count
-//                   lives in the pointee); for manual/gc policies it is a
-//                   raw dcas::cell (cell_link below).
+//                   domain-backed policies this is Domain::ptr_field (the
+//                   count lives in the pointee); for the cell-backed ones
+//                   it is a raw dcas::cell (cell_link below).
 //   P::flag         one-word boolean field DCAS-able alongside a link
 //                   (logical-deletion marks).
 //   P::vslot<T>     versioned pointer slot (pointer + version cell pair);
@@ -129,12 +134,13 @@ concept policy = requires(P& p, typename P::guard& g, std::size_t i) {
     { p.drain(1) } -> std::convertible_to<std::uint64_t>;
 };
 
-// ---- Shared cell-backed field types (manual + gc policies) ----------------
+// ---- Cell-backed fields and operations (manual, gc and deferred) ----------
 //
-// The counted policies get their fields from the domain (ptr_field,
-// flag_field, ll_field). Every other policy stores plain encoded values in
-// dcas::cells, so the fields are sim-instrumented for free and the same
-// engine CAS/DCAS/CASN machinery drives them.
+// The policies fall into two families. The domain-backed ones (counted,
+// and borrowed, which derives from it) get their fields and operations
+// from the domain (ptr_field, flag_field, ll_field). Every other policy
+// stores plain encoded values in dcas::cells, so the fields are
+// sim-instrumented for free, and derives its operations from cell_ops.
 
 /// One-word pointer link. All concurrent access goes through the policy's
 /// engine; exclusive_get/exclusive_set are for single-owner phases only.
@@ -201,6 +207,110 @@ class cell_vslot {
   private:
     dcas::cell ptr_{0};
     dcas::cell version_;
+};
+
+/// The cell encoding of every link/flag/vslot operation, written once for
+/// the cell-backed policies (manual_policy, gc_heap, deferred), which
+/// derive from it. Operations here are raw: no counts, no retirement. A
+/// policy that owes bookkeeping around a successful or failed CAS (where a
+/// displaced value goes, deferred's ±1 deltas) wraps the raw call.
+template <typename Engine>
+class cell_ops {
+  public:
+    using engine_type = Engine;
+
+    template <typename Node>
+    using link = cell_link<Node>;
+    using flag = cell_flag<Engine>;
+    template <typename T>
+    using vslot = cell_vslot<T>;
+
+    template <typename Node>
+    static Node* peek(link<Node>& A) noexcept {
+        return dcas::decode_ptr<Node>(Engine::read(A.cell()));
+    }
+    template <typename Node>
+    static void init_link(link<Node>& A, Node* v) noexcept {
+        A.exclusive_set(v);
+    }
+    template <typename Node>
+    static bool cas_link(link<Node>& A, Node* old0, Node* new0) {
+        return Engine::cas(A.cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0));
+    }
+    template <typename Node>
+    static bool dcas_link_flag(link<Node>& A, flag& F, Node* old0, bool old_flag, Node* new0,
+                               bool new_flag) {
+        return Engine::dcas(A.cell(), F.cell(), dcas::encode_ptr(old0),
+                            flag::encode(old_flag), dcas::encode_ptr(new0),
+                            flag::encode(new_flag));
+    }
+    static bool flag_load(flag& f) noexcept { return f.load(); }
+    static bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
+
+    /// The guard of a policy whose protection is not per-slot state (an
+    /// epoch pin, or nothing at all): reads are raw engine reads and the
+    /// slot operations are no-ops. ebr, leaky and deferred derive their
+    /// guards from it, adding their pin (and deferred its delta flush).
+    class stateless_guard {
+      public:
+        void step() noexcept {}
+        template <typename Node>
+        Node* protect(std::size_t, link<Node>& src) noexcept {
+            return peek(src);
+        }
+        template <typename Node>
+        Node* traverse(std::size_t, link<Node>& src) noexcept {
+            return peek(src);
+        }
+        template <typename Node>
+        void protect_new(std::size_t, Node*) noexcept {}
+        bool upgrade(std::size_t) noexcept { return true; }
+        void advance(std::size_t, std::size_t) noexcept {}
+        void clear(std::size_t) noexcept {}
+        /// version / pointer / version: equal versions bracket a consistent
+        /// pair. The loop stays in this body, not a shared helper, so it
+        /// inlines into the store's read path.
+        template <typename T>
+        T* vprotect(std::size_t, vslot<T>& s, std::uint64_t& ver) {
+            for (;;) {
+                const std::uint64_t v = dcas::decode_count(Engine::read(s.version_cell()));
+                const std::uint64_t raw = Engine::read(s.ptr_cell());
+                if (dcas::decode_count(Engine::read(s.version_cell())) != v) continue;
+                ver = v;
+                return dcas::decode_ptr<T>(raw);
+            }
+        }
+        template <typename T>
+        T* vtraverse(std::size_t i, vslot<T>& s, std::uint64_t& ver) {
+            return vprotect<T>(i, s, ver);
+        }
+    };
+
+  protected:
+    /// CASN {ptr old->new, version v->v+1, flag false->false}: install a
+    /// value iff the slot is unchanged AND the entry is still live — the
+    /// cell mirror of the domain's store_conditional_if_flag.
+    template <typename T>
+    static bool install_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
+        typename Engine::casn_op ops[3] = {
+            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0)},
+            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
+            {&dead.cell(), flag::encode(false), flag::encode(false)},
+        };
+        return Engine::casn(ops, 3);
+    }
+    /// CASN {ptr old->null, version v->v+1, flag false->true}: the erase
+    /// claim — take the value and kill the entry in one step, so a racing
+    /// write can never land in a claimed entry (store.hpp's invariant).
+    template <typename T>
+    static bool claim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
+        typename Engine::casn_op ops[3] = {
+            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(static_cast<T*>(nullptr))},
+            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
+            {&dead.cell(), flag::encode(false), flag::encode(true)},
+        };
+        return Engine::casn(ops, 3);
+    }
 };
 
 namespace detail {

@@ -7,13 +7,12 @@
 // comparisons). Everything below is built from existing seams — no new
 // synchronization primitives:
 //
-//   policy        the first template parameter is an lfrc::smr policy (or a
-//                 counted domain, which resolves to its borrowed policy for
-//                 backward compatibility). The SAME store body runs over
-//                 counted, borrowed, ebr, hp and leaky reclamation — the
-//                 policy axis E9 benchmarks. smr::gc_heap is excluded: its
-//                 guard offers no versioned value slots (the gc-vs-lfrc
-//                 comparison is E8's, at container granularity).
+//   policy        the first template parameter is an lfrc::smr policy. The
+//                 SAME store body runs over counted, borrowed, ebr, hp,
+//                 leaky and deferred reclamation — the policy axis E9
+//                 benchmarks. smr::gc_heap is excluded: its guard offers
+//                 no versioned value slots (the gc-vs-lfrc comparison is
+//                 E8's, at container granularity).
 //   sharding      N power-of-two shards of B buckets, each bucket a
 //                 containers::list_core chain (the DCAS-deletion list
 //                 protocol), so contention and chain length shrink by
@@ -95,25 +94,10 @@ struct store_stats {
     }
 };
 
-/// kv_store's first parameter accepts either an smr policy or (for the
-/// pre-policy call sites) a counted domain, which maps to its borrowed
-/// policy — the configuration the store originally shipped with.
-template <typename T>
-struct policy_or_domain {
-    using type = T;
-};
-template <typename Engine>
-struct policy_or_domain<lfrc::basic_domain<Engine>> {
-    using type = smr::borrowed<lfrc::basic_domain<Engine>>;
-};
-template <typename T>
-using policy_or_domain_t = typename policy_or_domain<T>::type;
-
-template <typename PolicyOrDomain, typename Key, typename Value,
-          typename Hash = std::hash<Key>>
+template <typename Policy, typename Key, typename Value, typename Hash = std::hash<Key>>
 class kv_store {
   public:
-    using policy_t = policy_or_domain_t<PolicyOrDomain>;
+    using policy_t = Policy;
     static_assert(lfrc::smr::policy<policy_t>);
 
     struct config {

@@ -175,7 +175,7 @@ workload_result run_workload(Ops& ops, const workload_config& cfg) {
 /// LFRC store, epoch-borrowed read fast path (the headline configuration).
 template <typename Domain>
 struct kv_store_borrow_ops {
-    using store_t = kv_store<Domain, std::uint64_t, std::uint64_t>;
+    using store_t = kv_store<smr::borrowed<Domain>, std::uint64_t, std::uint64_t>;
     explicit kv_store_borrow_ops(store_t& s, std::uint64_t ttl = 0)
         : store(s), ttl_ns(ttl) {}
 
@@ -200,7 +200,7 @@ struct kv_store_borrow_ops {
 /// the cost of the paper's Figure-2 discipline without the borrow escape.
 template <typename Domain>
 struct kv_store_counted_ops {
-    using store_t = kv_store<Domain, std::uint64_t, std::uint64_t>;
+    using store_t = kv_store<smr::borrowed<Domain>, std::uint64_t, std::uint64_t>;
     explicit kv_store_counted_ops(store_t& s, std::uint64_t ttl = 0)
         : store(s), ttl_ns(ttl) {}
 
@@ -224,9 +224,9 @@ struct kv_store_counted_ops {
 /// Any kv_store instantiation by its policy name — the generic adapter the
 /// E9 policy matrix loops over (counted / borrowed / ebr / hp / leaky all
 /// run the identical store body).
-template <typename PolicyOrDomain>
+template <typename Policy>
 struct kv_store_policy_ops {
-    using store_t = kv_store<PolicyOrDomain, std::uint64_t, std::uint64_t>;
+    using store_t = kv_store<Policy, std::uint64_t, std::uint64_t>;
     explicit kv_store_policy_ops(store_t& s, std::uint64_t ttl = 0)
         : store(s), ttl_ns(ttl) {}
 

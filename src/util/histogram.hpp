@@ -2,6 +2,7 @@
 // with linear sub-buckets). Single-writer per instance; merge to aggregate.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -35,14 +36,16 @@ class latency_histogram {
         return total_ ? static_cast<double>(sum_) / static_cast<double>(total_) : 0.0;
     }
 
-    /// Smallest bucket upper bound such that >= q of samples fall below it.
+    /// Smallest bucket upper bound such that >= q of samples fall below it,
+    /// clamped to max(): the top sample's bucket bound can exceed every
+    /// sample recorded in it.
     std::uint64_t percentile(double q) const noexcept {
         if (total_ == 0) return 0;
         const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_));
         std::uint64_t seen = 0;
         for (int i = 0; i < num_buckets; ++i) {
             seen += counts_[i];
-            if (seen > target) return bucket_upper_bound(i);
+            if (seen > target) return std::min(bucket_upper_bound(i), max_);
         }
         return max_;
     }

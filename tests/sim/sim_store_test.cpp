@@ -20,7 +20,7 @@ namespace {
 using namespace sim_tests;
 
 template <class D>
-using store_t = lfrc::store::kv_store<D, int, int>;
+using store_t = lfrc::store::kv_store<lfrc::smr::borrowed<D>, int, int>;
 
 template <class D>
 std::shared_ptr<store_t<D>> one_shard_store() {

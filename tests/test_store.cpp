@@ -22,10 +22,10 @@ namespace {
 
 using namespace lfrc;
 
-template <typename D>
+template <typename P>
 class StoreTest : public ::testing::Test {
   protected:
-    using store_t = store::kv_store<D, std::uint64_t, std::string>;
+    using store_t = store::kv_store<P, std::uint64_t, std::string>;
 
     void TearDown() override {
         EXPECT_EQ(flush_deferred_frees(64), 0u)
@@ -33,8 +33,8 @@ class StoreTest : public ::testing::Test {
     }
 };
 
-using Domains = ::testing::Types<domain, locked_domain>;
-TYPED_TEST_SUITE(StoreTest, Domains);
+using BorrowedPolicies = ::testing::Types<smr::borrowed<domain>, smr::borrowed<locked_domain>>;
+TYPED_TEST_SUITE(StoreTest, BorrowedPolicies);
 
 TYPED_TEST(StoreTest, GetOfAbsentKeyMisses) {
     typename TestFixture::store_t s;
@@ -307,7 +307,7 @@ TEST(StoreLayout, DeferredEntryRoutesToThe80ByteClass) {
 // run every op kind, produce consistent totals, and leave the epoch domain
 // drainable (the clear_slot shutdown path).
 TEST(WorkloadDriver, RunsMixAndLeavesEpochDomainDrainable) {
-    using store_t = store::kv_store<domain, std::uint64_t, std::uint64_t>;
+    using store_t = store::kv_store<smr::borrowed<domain>, std::uint64_t, std::uint64_t>;
     store_t s(store_t::config{4, 16});
     store::kv_store_borrow_ops<domain> ops(s);
     store::workload_config cfg;

@@ -87,10 +87,20 @@ TEST(Histogram, PercentilesOrdered) {
     const auto p50 = h.percentile(0.50);
     const auto p99 = h.percentile(0.99);
     EXPECT_LE(p50, p99);
-    EXPECT_LE(p99, h.max() * 2);  // bucket upper bounds may round up
+    EXPECT_LE(p99, h.max());
     // Uniform distribution: median should land near 500k within bucket error.
     EXPECT_GT(p50, 400'000u);
     EXPECT_LT(p50, 600'000u);
+}
+
+// A bucket's upper bound can exceed every sample in it: a lone 1000-ns
+// sample lands in the bucket bounded by 1024. No percentile may report
+// more than the largest value recorded.
+TEST(Histogram, PercentilesNeverExceedMax) {
+    latency_histogram h;
+    h.record(1000);
+    EXPECT_LE(h.percentile(0.5), h.max());
+    EXPECT_LE(h.percentile(0.999), h.max());
 }
 
 TEST(Histogram, MergeAccumulates) {

@@ -1,6 +1,6 @@
 """Lightweight structural model of a C++ source file for lfrc_lint.
 
-This is the self-contained fallback frontend: no libclang, no compiler —
+This is the linter's frontend, self-contained: no libclang, no compiler —
 just enough lexing to answer the structural questions rules R1-R5 ask:
 
   * comment/string stripping with line numbers preserved, so regexes can

@@ -28,19 +28,14 @@ per-function CFGs, a call graph, fixed-point escape summaries):
   R7  descriptor-sequence discipline (reuse engine): per-use descriptor
       reads re-validated against the sequence, decision CAS carries it
 
-Frontends: libclang over compile_commands.json when the toolchain provides
-python bindings (R1 type resolution on the real AST); a self-contained
-lexer/block-tree fallback otherwise, so the check ALWAYS runs. A silent
-AST degrade is reported once per run; --require-clang turns it into a
-hard failure for CI cells that need the AST path. --tidy runs the
-clang-tidy-style R1/R4 AST checks (tidy_checks.py) over the same compdb.
+Frontend: a self-contained lexer/block-tree parser (cpp_model.py) with no
+dependency beyond the standard library, so the check ALWAYS runs.
 
 Usage:
   lfrc_lint.py --root REPO [PATHS...]       lint paths (default: src)
   lfrc_lint.py --root REPO --self-test      run the fixture corpus
   lfrc_lint.py --root REPO --sarif OUT ...  also write SARIF 2.1.0
   lfrc_lint.py --root REPO --order-table OUT src   fence-pairing table
-  lfrc_lint.py --root REPO --tidy [PATHS]   clang-tidy-style AST checks
   lfrc_lint.py --list-rules
 Exit codes: 0 clean, 1 findings (or fixture expectation mismatch), 2 usage.
 """
@@ -54,7 +49,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import clang_frontend  # noqa: E402
 from cpp_model import SourceModel  # noqa: E402
 from rules import (  # noqa: E402
     RULES, Finding, OrderSite, order_pairing_findings, order_table,
@@ -76,22 +70,6 @@ RULE_DOC = {
           "decision CAS carries it",
 }
 
-_degrade_noticed = False
-
-
-def _notice_degrade(path: str, require_clang: bool):
-    """The clang frontend returning None used to be silent; surface it."""
-    global _degrade_noticed
-    if require_clang:
-        print(f"lfrc_lint: libclang frontend failed on {path} and "
-              f"--require-clang is set", file=sys.stderr)
-        sys.exit(2)
-    if not _degrade_noticed:
-        print(f"lfrc_lint: note: libclang parse failed for {path} — "
-              f"falling back to the lexer frontend for R1 "
-              f"(--require-clang to fail hard)", file=sys.stderr)
-        _degrade_noticed = True
-
 
 def collect_files(root: str, paths: list[str]) -> list[str]:
     files: list[str] = []
@@ -111,25 +89,11 @@ def collect_files(root: str, paths: list[str]) -> list[str]:
     return files
 
 
-def lint_file(root: str, path: str, use_clang: bool,
-              compdb_dir: str | None,
-              require_clang: bool = False
-              ) -> tuple[list[Finding], list[OrderSite]]:
+def lint_file(root: str, path: str) -> tuple[list[Finding], list[OrderSite]]:
     relpath = os.path.relpath(path, root)
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
-    model = SourceModel(relpath, text)
-    rules = RULES
-    findings: list[Finding] = []
-    if use_clang and compdb_dir:
-        ast_r1 = clang_frontend.check_r1_ast(path, relpath, compdb_dir)
-        if ast_r1 is not None:
-            findings.extend(ast_r1)
-            rules = tuple(r for r in RULES if r != "R1")
-        else:
-            _notice_degrade(relpath, require_clang)
-    fallback, sites = run_rules(model, relpath, rules)
-    findings.extend(fallback)
+    findings, sites = run_rules(SourceModel(relpath, text), relpath, RULES)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings, sites
 
@@ -164,7 +128,7 @@ def write_sarif(out_path: str, findings: list[Finding]):
         fh.write("\n")
 
 
-def self_test(root: str, use_clang: bool, compdb_dir: str | None) -> int:
+def self_test(root: str) -> int:
     """Fixture corpus: every `lint-expect: Rn` marker in a fixture must be
     matched by a finding of that rule within 2 lines, every finding must be
     claimed by a marker, and *_good fixtures must be perfectly clean. R6
@@ -184,7 +148,7 @@ def self_test(root: str, use_clang: bool, compdb_dir: str | None) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         model = SourceModel(relpath, text)
-        findings, sites = lint_file(root, path, use_clang, compdb_dir)
+        findings, sites = lint_file(root, path)
         findings = sorted(findings + order_pairing_findings(sites),
                           key=lambda f: (f.line, f.rule))
         expected = []  # (line, rule)
@@ -229,23 +193,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture corpus instead of linting paths")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("--frontend", choices=("auto", "clang", "fallback"),
-                    default="auto")
-    ap.add_argument("--compdb", default=None,
-                    help="directory containing compile_commands.json "
-                         "(default: <root>/build if present)")
-    ap.add_argument("--require-clang", action="store_true",
-                    help="fail (exit 2) instead of silently degrading when "
-                         "the libclang frontend is unavailable or errors")
     ap.add_argument("--sarif", metavar="OUT", default=None,
                     help="also write findings as SARIF 2.1.0 to OUT")
     ap.add_argument("--order-table", metavar="OUT", default=None,
                     help="write the R6 fence-pairing table (markdown) to "
                          "OUT ('-' for stdout)")
-    ap.add_argument("--tidy", action="store_true",
-                    help="run the clang-tidy-style R1/R4 AST checks "
-                         "(tidy_checks.py; opportunistic unless "
-                         "--require-clang)")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -254,36 +206,15 @@ def main(argv: list[str]) -> int:
         return 0
 
     root = os.path.abspath(args.root)
-    compdb_dir = args.compdb
-    if compdb_dir is None:
-        cand = os.path.join(root, "build")
-        if os.path.isfile(os.path.join(cand, "compile_commands.json")):
-            compdb_dir = cand
-
-    if args.tidy:
-        import tidy_checks
-        return tidy_checks.main(root, args.paths or ["src"], compdb_dir,
-                                require_clang=args.require_clang)
-
-    if (args.frontend == "clang" or args.require_clang) \
-            and not clang_frontend.available():
-        print("lfrc_lint: libclang python bindings are unavailable "
-              "(--frontend=clang / --require-clang)", file=sys.stderr)
-        return 2
-    use_clang = args.frontend != "fallback" and clang_frontend.available()
-    frontend = "libclang" if (use_clang and compdb_dir) else "fallback parser"
-
     if args.self_test:
-        print(f"lfrc_lint self-test (frontend: {frontend})")
-        return self_test(root, use_clang, compdb_dir)
+        return self_test(root)
 
     paths = args.paths or ["src"]
     files = collect_files(root, paths)
     all_findings: list[Finding] = []
     all_sites: list[OrderSite] = []
     for path in files:
-        findings, sites = lint_file(root, path, use_clang, compdb_dir,
-                                    require_clang=args.require_clang)
+        findings, sites = lint_file(root, path)
         all_findings.extend(findings)
         all_sites.extend(sites)
     all_findings.extend(order_pairing_findings(all_sites))
@@ -299,8 +230,8 @@ def main(argv: list[str]) -> int:
             with open(args.order_table, "w", encoding="utf-8") as fh:
                 fh.write(table)
     tag = "clean" if not all_findings else f"{len(all_findings)} finding(s)"
-    print(f"lfrc_lint: {len(files)} file(s), {tag} (frontend: {frontend}, "
-          f"{len(all_sites)} order-annotated sites)")
+    print(f"lfrc_lint: {len(files)} file(s), {tag} "
+          f"({len(all_sites)} order-annotated sites)")
     return 1 if all_findings else 0
 
 

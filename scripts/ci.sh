@@ -91,10 +91,11 @@ PY
       # safepoints) die here first.
       # The Valois comparator and its type-stable block pool read recycled
       # memory BY DESIGN — the exact hazard the paper's §2 discusses and
-      # LFRC exists to avoid. TSan rightly reports those reads as races,
-      # and test_valois runs >10 min under TSan on one CPU; both are
-      # non-LFRC baselines, so the thread cell skips them (Release and
-      # ASan cells still run them in full).
+      # LFRC exists to avoid. TSan rightly reports those reads as races
+      # (block_pool's non-atomic freelist `next` read in allocate_ex
+      # against its write in deallocate); both are non-LFRC baselines, so
+      # the thread cell skips them (Release and ASan cells still run them
+      # in full).
       # bench_suite_smoke runs here too: 80-92 s of its 120-s timeout on a
       # 4-CPU host.
       ctest --test-dir build-thread --output-on-failure \

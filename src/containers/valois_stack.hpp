@@ -17,7 +17,7 @@
 //    exactly once, by whoever CASes (count==0, claim==0) -> (0, claim=1);
 //  * reusing a node requires CASing (0, claim=1) -> (1, claim=0), which
 //    cannot succeed while a stale increment is outstanding — the allocator
-//    puts such a node back and takes another.
+//    puts such a node back and retries until the stale holder backs out.
 //
 // The permanent price is the one the paper names: pool chunks are never
 // returned to the system, so the footprint is monotone. Experiment E4
@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "alloc/block_pool.hpp"
+#include "sim/instrumented.hpp"
 
 namespace lfrc::containers {
 
@@ -40,8 +41,8 @@ class valois_stack {
         // bit 0: claim (node is on / headed to the freelist); bits 1..:
         // reference count. Never reset across reuses — stale increments
         // from a node's previous life must balance out on the same word.
-        std::atomic<std::uint64_t> rc{0};
-        std::atomic<node*> next{nullptr};
+        sim::instrumented_atomic<std::uint64_t> rc{0};
+        sim::instrumented_atomic<node*> next{nullptr};
         V value{};
     };
 
@@ -84,12 +85,18 @@ class valois_stack {
             // Our count pins h (claim cannot be taken while count > 0), so
             // its `next` is stable until a recycle, which cannot happen.
             node* next = h->next.load(std::memory_order_acquire);
-            if (head_.compare_exchange_strong(h, next, std::memory_order_acq_rel)) {
+            // CAS a copy: a failed CAS writes the current head into its
+            // expected argument, and the count to drop is still h's.
+            node* expected = h;
+            if (head_.compare_exchange_strong(expected, next, std::memory_order_acq_rel)) {
                 V v = h->value;
                 release(h);  // our optimistic count
                 release(h);  // the stack's count
                 return v;
             }
+#if defined(LFRC_ENABLE_MUTATIONS)
+            if (mutate_release_cas_witness().load(std::memory_order_relaxed)) h = expected;
+#endif
             release(h);
         }
     }
@@ -99,6 +106,18 @@ class valois_stack {
     /// Bytes held from the system; never decreases while the stack lives
     /// (the property E4 demonstrates).
     std::size_t footprint_bytes() const noexcept { return pool_.footprint_bytes(); }
+
+#if defined(LFRC_ENABLE_MUTATIONS)
+    /// Seeded pop bug for mutation testing (tests/sim/sim_valois_test.cpp):
+    /// when set, a pop whose head CAS failed releases the CAS's witness —
+    /// the current head, or nullptr — instead of the node it pinned. The
+    /// pinned node keeps a count forever and the new head loses the
+    /// stack's count, so it reaches the freelist while still linked.
+    static std::atomic<bool>& mutate_release_cas_witness() noexcept {
+        static std::atomic<bool> flag{false};
+        return flag;
+    }
+#endif
 
   private:
     node* acquire_node() {
@@ -118,8 +137,9 @@ class valois_stack {
                 nd->next.store(nullptr, std::memory_order_relaxed);
                 return nd;
             }
-            // A stale reader still holds a transient count on this node;
-            // put it back and take another rather than spinning on it.
+            // A stale reader still holds a transient count on this node.
+            // Put it back; the LIFO freelist hands the same node out again,
+            // so this spins on it until the stale holder releases.
             pool_.deallocate_raw(raw);
         }
     }
@@ -146,7 +166,7 @@ class valois_stack {
         }
     }
 
-    std::atomic<node*> head_{nullptr};
+    sim::instrumented_atomic<node*> head_{nullptr};
     alloc::typed_pool<node> pool_;
 };
 

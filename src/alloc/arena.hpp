@@ -11,17 +11,19 @@
 //
 // Design (DESIGN.md §15):
 //
-//   size classes   13 payload classes, 48..2048 bytes; each class owns a
-//                  slab_directory (alloc/slab.hpp — 1024-slot chunks behind
-//                  atomic chunk pointers, never unmapped: type-stable).
-//                  Payloads above 2048 fall through to the system heap,
-//                  routed consistently by size on both ends. The 80-byte
-//                  class exists for the kv store's deferred-policy entry
-//                  (72 bytes), the most numerous node in a loaded store,
-//                  which would otherwise carry 24 bytes of class padding.
-//   block header   16 bytes ahead of each payload: {index, class, home,
-//                  next}. `home` is the registry slot that carved the block
-//                  and never changes — every free of this block routes back
+//   size classes   14 payload classes, 48..2048 bytes; each class owns a
+//                  slab_directory (alloc/slab.hpp — one never-unmapped
+//                  region of 1024-block chunks: type-stable). A block is
+//                  exactly its class size, with no header: index <-> address
+//                  is arithmetic on the region, `home` is recorded once per
+//                  chunk, and free-list links live in the region's side
+//                  array. Payloads above 2048 fall through to the system
+//                  heap, routed consistently by size on both ends. The
+//                  72-byte class exists for the kv store's deferred-policy
+//                  entry, the most numerous node in a loaded store, which
+//                  would otherwise carry 8 bytes of class padding.
+//   home           the registry slot whose chunk a block was carved from;
+//                  it never changes — every free of this block routes back
 //                  to its home shard, so blocks do not migrate and each
 //                  shard's freelist stays hot in its owner's cache.
 //   magazine       per (class × registry slot): a plain array of slot
@@ -38,7 +40,10 @@
 //                  the advanced tag turns that recurrence into a CAS
 //                  failure. The remote-free vs local-pop race is
 //                  model-checked (tests/sim/sim_arena_test.cpp) against the
-//                  seeded strip-the-tag mutant below.
+//                  seeded strip-the-tag mutant below. `next` is the block's
+//                  side link, never a payload byte, so the pre-read never
+//                  races with a new owner's writes to a block a thief has
+//                  already handed on.
 //   steal          a slot whose magazine and remote list are both empty
 //                  grabs a peer's whole remote chain with one CAS (chain
 //                  grabs never reuse pre-read data, so they are ABA-safe by
@@ -49,8 +54,8 @@
 //                  poisoned on free and unpoisoned on allocate, so a stale
 //                  read of a recycled *node* still dies under
 //                  LFRC_SANITIZE=address (scripts/ci.sh asan cell probes
-//                  this with tests/arena_uaf_probe). Headers stay
-//                  unpoisoned — the freelist itself must write them.
+//                  this with tests/arena_uaf_probe). The whole block is
+//                  payload; the links the freelist writes are off-block.
 //                  (valois_stack's typed_pool is NOT poisoned: stale reads
 //                  of recycled comparator nodes are that design's point.)
 //   sim interop    under -DLFRC_SIM, counted_base keeps routing through the
@@ -68,7 +73,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <optional>
 
@@ -76,49 +80,17 @@
 #include "sim/instrumented.hpp"
 #include "util/thread_registry.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define LFRC_ARENA_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define LFRC_ARENA_ASAN 1
-#endif
-#endif
-
-#if defined(LFRC_ARENA_ASAN)
-#include <sanitizer/asan_interface.h>
-#endif
-
 namespace lfrc::alloc {
-
-namespace arena_detail {
-
-inline void poison_payload(void* p, std::size_t n) noexcept {
-#if defined(LFRC_ARENA_ASAN)
-    __asan_poison_memory_region(p, n);
-#else
-    (void)p;
-    (void)n;
-#endif
-}
-
-inline void unpoison_payload(void* p, std::size_t n) noexcept {
-#if defined(LFRC_ARENA_ASAN)
-    __asan_unpoison_memory_region(p, n);
-#else
-    (void)p;
-    (void)n;
-#endif
-}
-
-}  // namespace arena_detail
 
 class arena {
   public:
-    static constexpr std::size_t num_classes = 13;
-    /// Payload bytes per class; multiples of 16 so payloads stay 16-aligned
-    /// behind the 16-byte header.
+    static constexpr std::size_t num_classes = 14;
+    /// Block bytes per class, which is also the stride between blocks. Every
+    /// class but 72 is a multiple of 16, so its blocks are 16-aligned; an
+    /// object of 65..72 bytes cannot need more than 8 (its size is not a
+    /// multiple of 16), which is all the 72-byte stride gives.
     static constexpr std::size_t class_sizes[num_classes] = {
-        48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048};
+        48, 64, 72, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048};
     static constexpr std::size_t max_payload = class_sizes[num_classes - 1];
     static constexpr std::size_t magazine_cap = 64;
 
@@ -172,7 +144,7 @@ class arena {
         std::uint64_t head = sh.remote_head.load(pop_load_order());
         while (tagged_head::index_of(head) != tagged_head::null_index) {
             const std::uint32_t idx = tagged_head::index_of(head);
-            const std::uint32_t next = load_next(cs.dir.slot_at(idx));
+            const std::uint32_t next = load_next(cs, idx);
             const std::uint64_t desired =
                 tagged_head::pack(next_tag(tagged_head::tag_of(head)), next);
             if (sh.remote_head.compare_exchange_weak(head, desired,
@@ -201,16 +173,9 @@ class arena {
             }
         }
 
-        // 4) carve fresh; `home` is stamped once and never changes.
+        // 4) carve fresh from this slot's own chunk, whose home is s.
         std::uint32_t idx;
-        std::byte* slot = cs.dir.carve(idx);
-        block_header h;
-        h.index = idx;
-        h.klass = static_cast<std::uint16_t>(k);
-        h.home = static_cast<std::uint16_t>(s);
-        h.next = tagged_head::null_index;
-        std::memcpy(slot, &h, sizeof(h));
-        return slot + header_bytes;
+        return cs.dir.carve(s, idx);
     }
 
     void deallocate(void* p, std::size_t sz) noexcept {
@@ -220,19 +185,18 @@ class arena {
             return;
         }
         class_state& cs = *classes_[static_cast<std::size_t>(k)];
-        std::byte* slot = static_cast<std::byte*>(p) - header_bytes;
-        block_header h;
-        std::memcpy(&h, slot, sizeof(h));
+        const std::uint32_t idx = cs.dir.index_of(p);
+        const std::size_t home = cs.dir.home_of(idx);
         // Freed payload becomes poison until its next allocation: a stale
         // read of a recycled node dies under ASan instead of silently
         // reading the next tenant's bytes.
-        arena_detail::poison_payload(p, class_sizes[static_cast<std::size_t>(k)]);
+        asan_poison(p, cs.dir.stride());
         const std::size_t s = util::thread_registry::instance().slot();
         shard& sh = cs.shards[s];
-        if (h.home == s) {
+        if (home == s) {
             const std::uint32_t n = sh.mag_count.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-magazine)
             if (n < magazine_cap) {
-                sh.magazine[n] = h.index;
+                sh.magazine[n] = idx;
                 sh.mag_count.store(n + 1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-magazine)
                 tick(sh.local_frees);
                 return;
@@ -241,7 +205,7 @@ class arena {
         // Cross-slot (or magazine-overflow) free: tagged push onto the
         // block's HOME shard, so storage stays with its carving slot.
         tick(sh.remote_frees);
-        push_remote(cs, cs.shards[h.home], h.index);
+        push_remote(cs, cs.shards[home], idx);
     }
 
     // ---- stats -----------------------------------------------------------
@@ -308,36 +272,6 @@ class arena {
   private:
     friend struct arena_testing;
 
-    struct block_header {
-        std::uint32_t index;  ///< slot index within the class directory
-        std::uint16_t klass;  ///< size-class ordinal (consistency checks)
-        std::uint16_t home;   ///< carving registry slot; immutable
-        std::uint32_t next;   ///< freelist link while on a remote list
-        std::uint32_t reserved = 0;
-    };
-    static constexpr std::size_t header_bytes = 16;
-    static_assert(sizeof(block_header) == header_bytes);
-    static constexpr std::size_t next_offset = offsetof(block_header, next);
-    static_assert(next_offset % alignof(std::uint32_t) == 0);
-
-    /// The `next` link is the one header field read/written while a block
-    /// is visible to other threads: a popping owner pre-reads the head's
-    /// `next` BEFORE its CAS, so a thief that already took the block may be
-    /// rewriting that field concurrently (the stale read is harmless — the
-    /// advanced tag fails the reader's CAS). Relaxed atomic_ref makes those
-    /// bytes well-defined to race on (plain loads/stores on x86) without
-    /// making the whole header atomic.
-    static std::uint32_t load_next(std::byte* slot) noexcept {
-        return std::atomic_ref<std::uint32_t>(
-                   *reinterpret_cast<std::uint32_t*>(slot + next_offset))
-            .load(std::memory_order_relaxed);  // lfrc-lint: order(next-link)
-    }
-    static void store_next(std::byte* slot, std::uint32_t v) noexcept {
-        std::atomic_ref<std::uint32_t>(
-            *reinterpret_cast<std::uint32_t*>(slot + next_offset))
-            .store(v, std::memory_order_relaxed);  // lfrc-lint: order(next-link)
-    }
-
     /// Per (class × registry slot) free storage. The magazine half is
     /// owner-only (mag_count is atomic solely so stats reads are defined);
     /// the remote head is the only cross-thread word.
@@ -354,11 +288,25 @@ class arena {
     };
 
     struct class_state {
-        explicit class_state(std::size_t payload)
-            : dir(payload + header_bytes, /*track_stats=*/false) {}
+        explicit class_state(std::size_t payload) : dir(payload, /*track_stats=*/false) {}
         slab_directory dir;
         shard shards[util::thread_registry::max_threads];
     };
+
+    /// A block's freelist link is its side link in the class region, never
+    /// a payload byte. It is read and written while the block is visible to
+    /// other threads: a popping owner pre-reads the head's `next` BEFORE its
+    /// CAS, so a thief that already took the block may be rewriting the
+    /// link concurrently (the stale read is harmless — the advanced tag
+    /// fails the reader's CAS), and may already have handed the block to a
+    /// new owner, whose writes stay in the payload. Relaxed atomic_ref
+    /// makes the link well-defined to race on (plain loads/stores on x86).
+    static std::uint32_t load_next(const class_state& cs, std::uint32_t idx) noexcept {
+        return cs.dir.link(idx).load(std::memory_order_relaxed);  // lfrc-lint: order(next-link)
+    }
+    static void store_next(const class_state& cs, std::uint32_t idx, std::uint32_t v) noexcept {
+        cs.dir.link(idx).store(v, std::memory_order_relaxed);  // lfrc-lint: order(next-link)
+    }
 
     /// Class ordinal for a payload size, or -1 for the system-heap route.
     static int klass_of(std::size_t sz) noexcept {
@@ -404,9 +352,8 @@ class arena {
     }
 
     void* payload_of(class_state& cs, std::uint32_t idx) noexcept {
-        std::byte* slot = cs.dir.slot_at(idx);
-        void* p = slot + header_bytes;
-        arena_detail::unpoison_payload(p, cs.dir.slot_bytes() - header_bytes);
+        void* p = cs.dir.slot_at(idx);
+        asan_unpoison(p, cs.dir.stride());
         return p;
     }
 
@@ -415,16 +362,16 @@ class arena {
     /// list. The chain is exclusively ours post-CAS, so the link walk is
     /// single-owner code.
     void* adopt_chain(class_state& cs, shard& sh, std::uint32_t first) noexcept {
-        std::uint32_t cur = load_next(cs.dir.slot_at(first));
+        std::uint32_t cur = load_next(cs, first);
         std::uint32_t n = sh.mag_count.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-magazine)
         while (cur != tagged_head::null_index && n < magazine_cap) {
-            const std::uint32_t nxt = load_next(cs.dir.slot_at(cur));
+            const std::uint32_t nxt = load_next(cs, cur);
             sh.magazine[n++] = cur;
             cur = nxt;
         }
         sh.mag_count.store(n, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-magazine)
         while (cur != tagged_head::null_index) {
-            const std::uint32_t nxt = load_next(cs.dir.slot_at(cur));
+            const std::uint32_t nxt = load_next(cs, cur);
             push_remote(cs, sh, cur);
             cur = nxt;
         }
@@ -432,10 +379,9 @@ class arena {
     }
 
     void push_remote(class_state& cs, shard& dst, std::uint32_t index) noexcept {
-        std::byte* slot = cs.dir.slot_at(index);
         std::uint64_t head = dst.remote_head.load(std::memory_order_acquire);  // lfrc-lint: order(remote-head)
         for (;;) {
-            store_next(slot, tagged_head::index_of(head));
+            store_next(cs, index, tagged_head::index_of(head));
             const std::uint64_t desired =
                 tagged_head::pack(next_tag(tagged_head::tag_of(head)), index);
             if (dst.remote_head.compare_exchange_weak(head, desired,  // lfrc-lint: order(remote-head)
@@ -469,22 +415,22 @@ struct arena_testing {
                                        std::size_t s) noexcept {
         return a.classes_[k]->shards[s].mag_count.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-magazine)
     }
-    static std::uint16_t home_of(const void* payload) noexcept {
-        arena::block_header h;
-        std::memcpy(&h, static_cast<const std::byte*>(payload) - arena::header_bytes,
-                    sizeof(h));
-        return h.home;
+    /// The class whose region holds `block`, or -1 if none does.
+    static int class_of_block(const arena& a, const void* block) noexcept {
+        for (std::size_t k = 0; k < arena::num_classes; ++k) {
+            if (a.classes_[k]->dir.contains(block)) return static_cast<int>(k);
+        }
+        return -1;
     }
-    static std::uint16_t klass_field_of(const void* payload) noexcept {
-        arena::block_header h;
-        std::memcpy(&h, static_cast<const std::byte*>(payload) - arena::header_bytes,
-                    sizeof(h));
-        return h.klass;
+    /// The home slot its chunk record gives a block of class k.
+    static std::size_t home_of(const arena& a, std::size_t k, const void* block) noexcept {
+        const slab_directory& dir = a.classes_[k]->dir;
+        return dir.home_of(dir.index_of(block));
     }
 
 #if defined(LFRC_SIM)
-    /// Carve a fresh block stamped home=s and push it onto that shard's
-    /// remote list via UNSCHEDULED accesses (peek/poke) — sim-test setup
+    /// Carve a fresh block from slot s's chunk (home = s) and push it onto
+    /// that shard's remote list via UNSCHEDULED accesses (peek/poke) — setup
     /// that costs zero scheduler steps, so schedule exploration spends its
     /// whole preemption budget on the remote-pop race under test rather
     /// than on reaching the preconditions.
@@ -492,14 +438,9 @@ struct arena_testing {
         auto& cs = *a.classes_[k];
         auto& sh = cs.shards[s];
         std::uint32_t idx;
-        std::byte* slot = cs.dir.carve(idx);
+        cs.dir.carve(s, idx);
         const std::uint64_t head = sh.remote_head.peek();
-        arena::block_header h;
-        h.index = idx;
-        h.klass = static_cast<std::uint16_t>(k);
-        h.home = static_cast<std::uint16_t>(s);
-        h.next = tagged_head::index_of(head);
-        std::memcpy(slot, &h, sizeof(h));
+        arena::store_next(cs, idx, tagged_head::index_of(head));
         sh.remote_head.poke(tagged_head::pack(tagged_head::tag_of(head), idx));
     }
 #endif

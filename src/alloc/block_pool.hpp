@@ -14,11 +14,12 @@
 //    demonstrating why CAS-only reference counting on reusable memory is
 //    unsound (paper §1) while LFRC on fresh heap memory is not.
 //
-// Storage comes from the shared slab chunk directory (alloc/slab.hpp, the
-// same engine under lfrc::alloc::arena); this class adds one single-list
-// freelist over it. Freelist ABA is prevented with the 32-bit tag packed
-// next to the 32-bit slot index in a single 64-bit head word (tagged_head),
-// so no double-width CAS is needed.
+// Storage comes from the shared slab region (alloc/slab.hpp, the same
+// engine under lfrc::alloc::arena); this class adds one single-list
+// freelist over it, linked through an 8-byte header in each slot, and
+// counts its footprint in whole claimed chunks. Freelist ABA is prevented
+// with the 32-bit tag packed next to the 32-bit slot index in a single
+// 64-bit head word (tagged_head), so no double-width CAS is needed.
 #pragma once
 
 #include <atomic>
@@ -28,6 +29,7 @@
 #include <new>
 
 #include "alloc/slab.hpp"
+#include "util/thread_registry.hpp"
 
 namespace lfrc::alloc {
 
@@ -77,7 +79,7 @@ class block_pool {
         // Slow path: carve a fresh block and stamp its index.
         fresh = true;
         std::uint32_t index;
-        std::byte* slot = dir_.carve(index);
+        std::byte* slot = dir_.carve(util::thread_registry::instance().slot(), index);
         std::memcpy(slot, &index, sizeof(index));
         return slot + header_bytes;
     }
@@ -103,7 +105,7 @@ class block_pool {
 
   private:
     static constexpr std::size_t header_bytes = 8;  // 4B index + 4B freelist next
-    static constexpr std::size_t slot_align = slab_directory::slot_align;
+    static constexpr std::size_t slot_align = 16;
     static constexpr std::size_t slot_bytes =
         (header_bytes + BlockSize + slot_align - 1) / slot_align * slot_align;
 

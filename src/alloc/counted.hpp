@@ -67,9 +67,9 @@ struct counted_base {
         arena::instance().deallocate(p, sz);
 #endif
     }
-    // Over-aligned node types bypass the arena (its payloads are 16-aligned
-    // only). No such node type exists today; these overloads keep the seam
-    // safe if one appears.
+    // Over-aligned node types bypass the arena (its blocks are 16-aligned
+    // at most). No such node type exists today; these overloads keep the
+    // seam safe if one appears.
     static void* operator new(std::size_t sz, std::align_val_t al) {
         void* p = ::operator new(sz, al);
         note_alloc(sz);

@@ -59,6 +59,7 @@
 #include "dcas/cell.hpp"
 #include "reclaim/epoch.hpp"
 #include "util/cacheline.hpp"
+#include "util/slot_striped.hpp"
 #include "util/thread_registry.hpp"
 
 #if defined(LFRC_SIM)
@@ -71,7 +72,10 @@ class mcas_engine {
   public:
     static const char* name() noexcept { return "mcas"; }
 
-    /// Observability counters (relaxed; for tests and benchmarks).
+    /// Observability counters (relaxed; for tests and benchmarks). Every
+    /// list insert and unlink bumps two of them from every thread, so they
+    /// are striped per registry slot; stats() sums the stripes into the
+    /// calling thread's own copy and returns that, as of the call.
     struct counters {
         std::atomic<std::uint64_t> dcas_started{0};
         std::atomic<std::uint64_t> dcas_succeeded{0};
@@ -80,8 +84,19 @@ class mcas_engine {
     };
 
     static counters& stats() noexcept {
-        static counters c;
-        return c;
+        thread_local counters total;
+        std::uint64_t started = 0, succeeded = 0, helps = 0, aborts = 0;
+        stripes().for_each([&](const counters& c) {
+            started += c.dcas_started.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            succeeded += c.dcas_succeeded.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            helps += c.helps.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            aborts += c.seq_aborts.load(std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        });
+        total.dcas_started.store(started, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        total.dcas_succeeded.store(succeeded, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        total.helps.store(helps, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        total.seq_aborts.store(aborts, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        return total;
     }
 
 #if defined(LFRC_ENABLE_MUTATIONS)
@@ -144,10 +159,10 @@ class mcas_engine {
     static bool dcas(cell& c0, cell& c1, std::uint64_t o0, std::uint64_t o1,
                      std::uint64_t n0, std::uint64_t n1) {
         assert(&c0 != &c1 && "DCAS on one cell twice is not defined");
-        stats().dcas_started.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        tick(&counters::dcas_started);
         casn_op ops[2] = {{&c0, o0, n0}, {&c1, o1, n1}};
         const bool ok = casn(ops, 2);
-        if (ok) stats().dcas_succeeded.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        if (ok) tick(&counters::dcas_succeeded);
         return ok;
     }
 
@@ -184,6 +199,17 @@ class mcas_engine {
     struct testing;  // white-box seams for tests; defined below
 
   private:
+    static util::slot_striped<counters>& stripes() noexcept {
+        static util::slot_striped<counters> s;
+        return s;
+    }
+
+    /// Owner-only stripe: load+store, no RMW on the hot path.
+    static void tick(std::atomic<std::uint64_t> counters::*field) noexcept {
+        std::atomic<std::uint64_t>& c = stripes().local().*field;
+        c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+    }
+
     enum : std::uint64_t {
         status_undecided = 0,
         status_succeeded = 1,
@@ -399,7 +425,7 @@ class mcas_engine {
         std::atomic_thread_fence(std::memory_order_acquire);  // lfrc-lint: order(desc-reuse-fence)
         const std::uint64_t w = d.status.load(std::memory_order_seq_cst);
         if (seq_of_status(w) != desc_seq_of(md_word)) {
-            stats().seq_aborts.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            tick(&counters::seq_aborts);
             return false;
         }
         out.state = state_of_status(w);
@@ -410,7 +436,7 @@ class mcas_engine {
     static bool read_status(std::uint64_t md_word, std::uint64_t& state_out) {
         const std::uint64_t w = mcas_of(md_word).status.load(std::memory_order_seq_cst);
         if (seq_of_status(w) != desc_seq_of(md_word)) {
-            stats().seq_aborts.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            tick(&counters::seq_aborts);
             return false;
         }
         state_out = state_of_status(w);
@@ -425,7 +451,7 @@ class mcas_engine {
     /// observes a new value.
     static void resolve(std::uint64_t observed) {
         if (is_rdcss(observed)) {
-            stats().helps.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            tick(&counters::helps);
             rdcss_complete(observed);
         } else {
             mcas_help(observed, /*is_owner=*/false);
@@ -445,7 +471,7 @@ class mcas_engine {
         const std::uint64_t o2 = rd.o2.load(std::memory_order_relaxed);  // lfrc-lint: order(desc-payload)
         std::atomic_thread_fence(std::memory_order_acquire);  // lfrc-lint: order(desc-reuse-fence)
         if (rd.seq.load(std::memory_order_seq_cst) != desc_seq_of(rd_word)) {
-            stats().seq_aborts.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+            tick(&counters::seq_aborts);
             return;
         }
         // Control read. A sequence mismatch on the MCAS descriptor means the
@@ -474,7 +500,7 @@ class mcas_engine {
                 return o2;
             }
             if (is_rdcss(expected)) {
-                stats().helps.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+                tick(&counters::helps);
                 rdcss_complete(expected);
                 continue;  // cell now holds a data value or an MCAS word
             }
@@ -487,7 +513,7 @@ class mcas_engine {
     /// owner can never observe the latter — it holds the busy flag — and
     /// helpers' callers re-read the cell either way).
     static bool mcas_help(std::uint64_t md_word, bool is_owner) {
-        if (!is_owner) stats().helps.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+        if (!is_owner) tick(&counters::helps);
         op_snapshot snap;
         if (!snapshot_mcas(md_word, snap)) {
             assert(!is_owner);
@@ -517,7 +543,7 @@ class mcas_engine {
                             continue;
                         }
                         if (is_rdcss(cur)) {
-                            stats().helps.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
+                            tick(&counters::helps);
                             rdcss_complete(cur);
                             continue;
                         }

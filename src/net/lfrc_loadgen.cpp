@@ -31,12 +31,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -262,10 +264,14 @@ void generator_thread(const gen_config& cfg, int t, thread_result& out) {
             pfds[i].events = POLLIN;
             pfds[i].revents = 0;
         }
+        // Sleep until the next request is due, to the nanosecond: a wait
+        // cut to whole milliseconds made every sub-ms wait a busy spin.
+        // The 10-ms cap keeps the loop checking its end time when idle.
         now = util::steady_now_ns();
-        const std::uint64_t wait_ns = next_due > now ? next_due - now : 0;
-        const int wait_ms = static_cast<int>(wait_ns / 1000000);
-        ::poll(pfds.data(), pfds.size(), wait_ms > 10 ? 10 : wait_ms);
+        const std::uint64_t wait_ns =
+            std::min<std::uint64_t>(next_due > now ? next_due - now : 0, 10'000'000ULL);
+        const timespec wait{0, static_cast<long>(wait_ns)};
+        ::ppoll(pfds.data(), pfds.size(), &wait, nullptr);
         for (auto& c : conns) {
             if (!c.dead) read_conn(c, out);
         }

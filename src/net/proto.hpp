@@ -35,6 +35,8 @@
 // confusion bugs ship.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -112,6 +114,16 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/// Store `v` little-endian at `p`: one unaligned word store on a
+/// little-endian host.
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
 inline std::uint32_t get_u32(const std::uint8_t* p) noexcept {
     return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
            (static_cast<std::uint32_t>(p[2]) << 16) |
@@ -174,25 +186,26 @@ inline void encode_request(std::vector<std::uint8_t>& out, const request& r) {
     }
 }
 
+/// The server's per-request hot path: one resize, then whole-word stores
+/// into the frame (the length prefix, opcode, status and padding are one
+/// word). An invalid opcode still gets its header and id, behind a zero
+/// length that every decoder rejects.
 inline void encode_response(std::vector<std::uint8_t>& out, const response& r) {
-    wire::put_u32(out, response_payload_size(r.op));
-    out.push_back(static_cast<std::uint8_t>(r.op));
-    out.push_back(static_cast<std::uint8_t>(r.st));
-    out.push_back(0);
-    out.push_back(0);
-    wire::put_u64(out, r.id);
+    const std::uint32_t len = response_payload_size(r.op);
+    const std::size_t at = out.size();
+    out.resize(at + 4 + std::max<std::uint32_t>(len, 4 + 8));
+    std::uint8_t* p = out.data() + at;
+    wire::store_u64(p, len | (std::uint64_t{static_cast<std::uint8_t>(r.op)} << 32) |
+                           (std::uint64_t{static_cast<std::uint8_t>(r.st)} << 40));
+    wire::store_u64(p + 8, r.id);
     if (r.op == op::get) {
-        wire::put_u64(out, r.value);
-        wire::put_u64(out, r.version);
+        wire::store_u64(p + 16, r.value);
+        wire::store_u64(p + 24, r.version);
     } else if (r.op == op::stat) {
-        wire::put_u64(out, r.stats.gets);
-        wire::put_u64(out, r.stats.hits);
-        wire::put_u64(out, r.stats.puts);
-        wire::put_u64(out, r.stats.erases);
-        wire::put_u64(out, r.stats.cas_ok);
-        wire::put_u64(out, r.stats.cas_fail);
-        wire::put_u64(out, r.stats.expired);
-        wire::put_u64(out, r.stats.reclaimer_pending);
+        const std::uint64_t words[] = {r.stats.gets,     r.stats.hits,   r.stats.puts,
+                                       r.stats.erases,   r.stats.cas_ok, r.stats.cas_fail,
+                                       r.stats.expired,  r.stats.reclaimer_pending};
+        for (std::size_t i = 0; i < 8; ++i) wire::store_u64(p + 16 + 8 * i, words[i]);
     }
 }
 

@@ -377,12 +377,14 @@ class kv_store {
                   "smr_children enumeration");
 
     /// A key's slot in its bucket list: the list_core node contract
-    /// (next/dead/key) plus the versioned value field.
+    /// (next/dead/key) plus the versioned value field. A bucket walk reads
+    /// `key` and `next` of every entry it passes, so they sit side by side
+    /// and share a cache line for all but a few entry placements.
     struct entry_t : policy_t::template node_base<entry_t> {
+        Key key{};
         typename policy_t::template link<entry_t> next;
         typename policy_t::flag dead;
         typename policy_t::template vslot<box_t> val;
-        Key key{};
 
         explicit entry_t(Key k) : key(std::move(k)) {}
 

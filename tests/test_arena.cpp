@@ -1,12 +1,14 @@
-// Unit tests for lfrc::alloc::arena — size-class routing, magazine
-// refill/return, remote-free draining, whole-chain stealing, ABA-tag
-// wraparound, and the >max_payload system-heap fallback. Each test builds
+// Unit tests for lfrc::alloc::arena — size-class routing, the chunk
+// record's home, magazine refill/return, remote-free draining, whole-chain
+// stealing, ABA-tag wraparound, payloads the allocator never writes, and
+// the >max_payload system-heap fallback. Each test builds
 // its own arena instance so counters and freelists start empty; the
 // process-wide instance() behind counted_base is exercised by every other
 // test in the suite.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -30,21 +32,57 @@ TEST(ArenaRouting, SizeClassLookup) {
     EXPECT_EQ(arena_testing::klass_of(49), 1);
     EXPECT_EQ(arena_testing::klass_of(64), 1);
     EXPECT_EQ(arena_testing::klass_of(65), 2);
-    EXPECT_EQ(arena_testing::klass_of(80), 2);
-    EXPECT_EQ(arena_testing::klass_of(81), 3);
-    EXPECT_EQ(arena_testing::klass_of(2048), 12);
+    EXPECT_EQ(arena_testing::klass_of(72), 2);
+    EXPECT_EQ(arena_testing::klass_of(73), 3);
+    EXPECT_EQ(arena_testing::klass_of(80), 3);
+    EXPECT_EQ(arena_testing::klass_of(81), 4);
+    EXPECT_EQ(arena_testing::klass_of(2048), 13);
     EXPECT_EQ(arena_testing::klass_of(2049), -1);  // system-heap route
 }
 
-TEST(ArenaRouting, HeaderStampedAtCarve) {
+TEST(ArenaRouting, ChunkRecordGivesFreshBlockHomeAndClass) {
     auto a = fresh_arena();
-    void* p = a->allocate(100);  // class 4 (<=128)
+    void* p = a->allocate(100);  // class 5 (<=128)
+    void* q = a->allocate(100);
     ASSERT_NE(p, nullptr);
-    EXPECT_EQ(arena_testing::klass_field_of(p), 4);
-    EXPECT_EQ(arena_testing::home_of(p), my_slot());
-    // Payloads are 16-aligned behind the 16-byte header.
+    EXPECT_EQ(arena_testing::class_of_block(*a, p), 5);
+    EXPECT_EQ(arena_testing::home_of(*a, 5, p), my_slot());
+    // No header: a block is exactly its class, 16-aligned, and the next
+    // carve from the same chunk is the next 128 bytes.
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
-    a->deallocate(p, 100);
+    EXPECT_EQ(static_cast<std::byte*>(q) - static_cast<std::byte*>(p), 128);
+
+    // A block another slot carves comes from that slot's own chunk.
+    std::size_t other = 0;
+    void* r = nullptr;
+    std::thread([&] {
+        other = my_slot();
+        r = a->allocate(100);
+    }).join();
+    EXPECT_NE(other, my_slot());
+    EXPECT_EQ(arena_testing::class_of_block(*a, r), 5);
+    EXPECT_EQ(arena_testing::home_of(*a, 5, r), other);
+    EXPECT_EQ(arena_testing::class_of_block(*a, &other), -1);
+    for (void* b : {p, q, r}) a->deallocate(b, 100);
+}
+
+// Address -> index is a multiply by a precomputed reciprocal, not a
+// division: it must be exact for every stride in use, up to the last slot
+// of a full region (arithmetic only; the far slots are never touched).
+TEST(ArenaRouting, IndexOfInvertsSlotAtForEveryStride) {
+    std::vector<std::size_t> strides(std::begin(arena::class_sizes),
+                                     std::end(arena::class_sizes));
+    for (std::size_t s : {8, 16, 24, 32, 40}) strides.push_back(s);  // block_pool
+    constexpr auto last = static_cast<std::uint32_t>(slab_directory::max_slots - 1);
+    for (const std::size_t stride : strides) {
+        slab_directory dir(stride, /*track_stats=*/false);
+        std::uint32_t first = 0;
+        dir.carve(my_slot(), first);  // reserves the region
+        for (std::uint32_t i = 0; i < last; i += 4099) {
+            ASSERT_EQ(dir.index_of(dir.slot_at(i)), i) << "stride " << stride;
+        }
+        EXPECT_EQ(dir.index_of(dir.slot_at(last)), last) << "stride " << stride;
+    }
 }
 
 TEST(ArenaRouting, OversizeFallsBackToSystemHeap) {
@@ -191,6 +229,76 @@ TEST(ArenaRemote, TagWrapsAroundCleanly) {
     }
     EXPECT_EQ(a->snapshot().carved, carved_before);
     for (void* p : seen) a->deallocate(p, 192);
+}
+
+// The allocator keeps nothing of its own inside a block: whichever way a
+// block is freed and handed out again, its payload comes back exactly as
+// the last owner left it. This is what lets the owner's remote pop
+// pre-read the link of a block that a thief may already have handed to a
+// new owner (DESIGN.md §15).
+TEST(ArenaPayload, FreeingAndReallocatingNeverWritesThePayload) {
+#if defined(LFRC_ARENA_ASAN)
+    GTEST_SKIP() << "ASan poisons freed payloads; arena_uaf_probe reads them";
+#else
+    auto a = fresh_arena();
+    constexpr std::size_t sz = 72;
+    const std::size_t n = arena::magazine_cap + 16;
+    const std::size_t k = static_cast<std::size_t>(arena_testing::klass_of(sz));
+    const std::size_t home = my_slot();
+    std::map<void*, unsigned char> pattern;
+
+    const auto fill = [&](void* p) {
+        const auto v = static_cast<unsigned char>(0x11 + pattern.size() * 7);
+        std::memset(p, v, sz);
+        pattern[p] = v;
+    };
+    const auto intact = [&](void* p) {
+        const auto it = pattern.find(p);
+        if (it == pattern.end()) return false;
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < sz; ++i) {
+            if (b[i] != it->second) return false;
+        }
+        return true;
+    };
+    const auto reallocate_all = [&](std::vector<void*>& ps) {
+        ps.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            void* p = a->allocate(sz);
+            EXPECT_TRUE(intact(p)) << "block " << i << " came back altered";
+            ps.push_back(p);
+        }
+    };
+
+    std::vector<void*> ps;
+    for (std::size_t i = 0; i < n; ++i) {
+        ps.push_back(a->allocate(sz));
+        fill(ps.back());
+    }
+    const auto carved = a->snapshot().carved;
+
+    // Locally, and past a magazine overflow onto this slot's remote list.
+    for (void* p : ps) a->deallocate(p, sz);
+    EXPECT_EQ(arena_testing::magazine_size(*a, k, home), arena::magazine_cap);
+    reallocate_all(ps);
+
+    // Remotely: another slot frees, this slot pops its remote list.
+    std::thread([&] { for (void* p : ps) a->deallocate(p, sz); }).join();
+    reallocate_all(ps);
+
+    // Through a chain steal: a peer frees onto this slot's remote list,
+    // and a third slot with nothing of its own takes the whole chain.
+    std::thread([&] { for (void* p : ps) a->deallocate(p, sz); }).join();
+    const auto steals = a->snapshot().chain_steals;
+    std::thread([&] {
+        EXPECT_NE(my_slot(), home);
+        reallocate_all(ps);
+    }).join();
+    EXPECT_GT(a->snapshot().chain_steals, steals);
+
+    EXPECT_EQ(a->snapshot().carved, carved) << "every block was a recycled one";
+    for (void* p : ps) a->deallocate(p, sz);
+#endif
 }
 
 TEST(ArenaConcurrent, ProducerConsumerChurnIsLossless) {

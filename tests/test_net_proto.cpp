@@ -89,6 +89,48 @@ TEST(NetProto, ResponseRoundTripEveryOp) {
     }
 }
 
+// The exact bytes of a GET and a STAT response, written out by hand from
+// the wire format in net/proto.hpp, appended behind bytes already in the
+// buffer (the server encodes a whole tick into one write buffer).
+TEST(NetProto, ResponseGoldenFrames) {
+    net::response get;
+    get.op = net::op::get;
+    get.st = net::status::not_found;
+    get.id = 0x1122334455667788ULL;
+    get.value = 0x0102030405060708ULL;
+    get.version = 0xa0b0c0d0e0f00010ULL;
+
+    net::response stat;
+    stat.op = net::op::stat;
+    stat.id = 0x0000000000000102ULL;
+    stat.stats = {1, 2, 3, 4, 5, 6, 0x1234, 0x8000000000000001ULL};
+
+    std::vector<std::uint8_t> buf = {0xee, 0xff};
+    net::encode_response(buf, get);
+    net::encode_response(buf, stat);
+
+    const std::vector<std::uint8_t> want = {
+        0xee, 0xff,
+        // GET: len 28, op 1, status 1, pad, id, value, version
+        28, 0, 0, 0, 1, 1, 0, 0,
+        0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+        0x10, 0x00, 0xf0, 0xe0, 0xd0, 0xc0, 0xb0, 0xa0,
+        // STAT: len 76, op 5, status 0, pad, id, eight counters
+        76, 0, 0, 0, 5, 0, 0, 0,
+        0x02, 0x01, 0, 0, 0, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0,
+        4, 0, 0, 0, 0, 0, 0, 0,
+        5, 0, 0, 0, 0, 0, 0, 0,
+        6, 0, 0, 0, 0, 0, 0, 0,
+        0x34, 0x12, 0, 0, 0, 0, 0, 0,
+        0x01, 0, 0, 0, 0, 0, 0, 0x80,
+    };
+    EXPECT_EQ(buf, want);
+}
+
 // Every proper prefix of a valid frame is need_more — the decoder must
 // neither reject a frame merely for being mid-flight nor claim bytes it
 // has not validated.

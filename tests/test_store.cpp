@@ -295,12 +295,12 @@ TYPED_TEST(StoreLayoutTest, BucketsAllocateNoNodesAndEachKeyTwo) {
 }
 
 // The deferred policy's entry — the node a loaded store holds one of per
-// key — fills the arena's 80-byte class instead of padding into 96.
-TEST(StoreLayout, DeferredEntryRoutesToThe80ByteClass) {
+// key — fills the arena's 72-byte class instead of padding into 80.
+TEST(StoreLayout, DeferredEntryRoutesToThe72ByteClass) {
     using store_t = store::kv_store<smr::deferred<>, std::uint64_t, std::uint64_t>;
     const int k = alloc::arena_testing::klass_of(sizeof(store_t::entry_type));
     ASSERT_GE(k, 0);
-    EXPECT_EQ(alloc::arena::class_sizes[k], 80u);
+    EXPECT_EQ(alloc::arena::class_sizes[k], 72u);
 }
 
 // The workload driver itself, at a deterministic-ish smoke scale: it must

@@ -8,6 +8,13 @@
 //     a flag of the head's own that is never set, so the head anchors
 //     inserts and unlinks at the front exactly like a live predecessor —
 //     no sentinel node, no allocation per chain;
+//   * a walk may instead start at a permanent node of the chain (the kv
+//     store's split-ordered dummies), named by a container-root link: a
+//     node whose `dead` is never set anchors exactly like the head, and a
+//     walk from any such node at or before a key sees the same chain
+//     suffix a walk from the head would;
+//   * nodes are ordered by a hook (order() below): set nodes compare their
+//     `key`; a node type may define its own three-way order;
 //   * erase marks `dead` first (flag_cas false->true, the logical delete),
 //     then unlinks with dcas_link_flag anchored on the PREDECESSOR's dead
 //     flag staying false — so a node is unlinked (and retired) exactly
@@ -15,8 +22,9 @@
 //   * a dead node's `next` is never written again, so lazy traversals can
 //     read through it on policies where that is memory-safe.
 //
-// Guard slot protocol (all three slots of one caller-owned guard):
-//   slot 0 = pred, slot 1 = curr, slot 2 = succ / fresh node.
+// Guard slot protocol (three slots of one caller-owned guard):
+//   slot 0 = pred (or the start node), slot 1 = curr, slot 2 = succ / fresh
+//   node. Slot 3 is left to a node type's order hook.
 //
 // hp's frozen-pointer trap, handled here: with hazard pointers, a dead
 // node's frozen `next` revalidates forever, so a successor read from a dead
@@ -86,25 +94,45 @@ class list_core {
     }
 
     struct position {
-        anchor pred;  // the head's pair, or a node strongly protected in slot 0
+        anchor pred;  // the start's pair, or a node strongly protected in slot 0
         Node* curr;   // strongly protected in slot 1; nullptr = end of chain
+        bool match;   // curr is the searched key's node
     };
 
-    list_core(P& policy, head_type& head) noexcept : policy_(policy), head_(head) {}
+    /// A view of the chain hanging off `head`. With `start`, walks begin at
+    /// the node that link holds instead: a node of this chain that is never
+    /// marked dead and sorts at or before every key the view is asked
+    /// about. The link must already hold it (callers check with peek).
+    list_core(P& policy, head_type& head,
+              typename P::template link<Node>* start = nullptr) noexcept
+        : policy_(policy), head_(head), start_(start) {}
 
-    /// Strong search: find the first live node with !(key(curr) < key),
-    /// physically unlinking any dead node encountered. On return slot 0
-    /// protects pred's node (or is clear when pred is the head) and slot 1
-    /// protects curr; both are live as of the last flag checks.
+    /// The ordering hook: negative when `n` sorts before `key`, zero when
+    /// `n` is `key`'s node, positive after. A node type may define
+    /// `order(policy, guard, key)` (it may use guard slot 3); otherwise
+    /// nodes compare their `key` member.
+    template <typename K>
+    int order(typename P::guard& g, Node& n, const K& key) {
+        if constexpr (requires { n.order(policy_, g, key); }) {
+            return n.order(policy_, g, key);
+        } else {
+            return n.key < key ? -1 : (n.key == key ? 0 : 1);
+        }
+    }
+
+    /// Strong search: find the first live node that does not sort before
+    /// `key`, physically unlinking any dead node encountered. On return
+    /// slot 0 protects pred's node (or the start node, or is clear when
+    /// pred is the head) and slot 1 protects curr; both are live as of the
+    /// last flag checks.
     template <typename K>
     position search(typename P::guard& g, const K& key) {
     restart:
-        anchor pred = anchor_of(head_);
-        g.clear(0);
+        anchor pred = start_anchor(g);
         Node* curr = g.protect(1, *pred.next);
         for (;;) {
             g.step();
-            if (curr == nullptr) return {pred, nullptr};
+            if (curr == nullptr) return {pred, nullptr, false};
             if (policy_.flag_load(curr->dead)) {
                 // Help unlink. succ comes from a dead node's frozen next:
                 // only trusted after our own unlink DCAS succeeds.
@@ -118,7 +146,8 @@ class list_core {
                 curr = succ;
                 continue;
             }
-            if (!(curr->key < key)) return {pred, curr};
+            const int c = order(g, *curr, key);
+            if (c >= 0) return {pred, curr, c == 0};
             g.advance(0, 1);
             pred = anchor_of(*curr);
             curr = g.protect(1, *pred.next);
@@ -137,20 +166,19 @@ class list_core {
     Node* find(typename P::guard& g, const K& key) {
         if constexpr (P::has_lazy_traverse) {
             g.step();
-            Node* curr = g.traverse(1, head_.next);
-            while (curr != nullptr && curr->key < key) {
+            Node* curr = first_lazy(g);
+            int c = 1;
+            while (curr != nullptr && (c = order(g, *curr, key)) < 0) {
                 g.step();
                 Node* next = g.traverse(2, curr->next);
                 g.advance(1, 2);
                 curr = next;
             }
-            if (curr == nullptr || !(curr->key == key) || policy_.flag_load(curr->dead)) {
-                return nullptr;
-            }
+            if (curr == nullptr || c != 0 || policy_.flag_load(curr->dead)) return nullptr;
             return curr;
         } else {
             position pos = search(g, key);
-            return (pos.curr != nullptr && pos.curr->key == key) ? pos.curr : nullptr;
+            return pos.match ? pos.curr : nullptr;
         }
     }
 
@@ -161,7 +189,7 @@ class list_core {
     std::pair<Node*, bool> get_or_insert(typename P::guard& g, const K& key, Make&& make) {
         for (;;) {
             position pos = search(g, key);
-            if (pos.curr != nullptr && pos.curr->key == key) return {pos.curr, false};
+            if (pos.match) return {pos.curr, false};
             auto nd = make();
             policy_.init_link(nd->next, pos.curr);
             g.protect_new(2, nd.get());  // announce BEFORE the publishing CAS
@@ -190,7 +218,7 @@ class list_core {
     template <typename K>
     bool erase(typename P::guard& g, const K& key) {
         position pos = search(g, key);
-        if (pos.curr == nullptr || !(pos.curr->key == key)) return false;
+        if (!pos.match) return false;
         if (!policy_.flag_cas(pos.curr->dead, false, true)) return false;  // lost the race
         Node* succ = g.protect(2, pos.curr->next);
         if (policy_.dcas_link_flag(*pos.pred.next, *pos.pred.dead, pos.curr, false, succ,
@@ -221,7 +249,7 @@ class list_core {
     void for_each(typename P::guard& g, F&& f, R&& on_restart) {
         if constexpr (P::has_lazy_traverse) {
             g.step();
-            Node* curr = g.traverse(1, head_.next);
+            Node* curr = first_lazy(g);
             while (curr != nullptr) {
                 g.step();
                 if (!policy_.flag_load(curr->dead)) f(*curr);
@@ -231,8 +259,7 @@ class list_core {
             }
         } else {
         restart:
-            anchor pred = anchor_of(head_);
-            g.clear(0);
+            anchor pred = start_anchor(g);
             Node* curr = g.protect(1, *pred.next);
             for (;;) {
                 g.step();
@@ -272,8 +299,25 @@ class list_core {
     }
 
   private:
+    /// Strong start: the head's pair, or the start node's with that node
+    /// protected in slot 0 (a container-root link, so protect may read it).
+    anchor start_anchor(typename P::guard& g) {
+        if (start_ == nullptr) {
+            g.clear(0);
+            return anchor_of(head_);
+        }
+        return anchor_of(*g.protect(0, *start_));
+    }
+
+    /// Lazy start: the first node past the start, traverse-grade in slot 1.
+    Node* first_lazy(typename P::guard& g) {
+        if (start_ == nullptr) return g.traverse(1, head_.next);
+        return g.traverse(1, g.traverse(0, *start_)->next);
+    }
+
     P& policy_;
     head_type& head_;
+    typename P::template link<Node>* start_;
 };
 
 /// A container's chains: one contiguous array of inline heads (two
@@ -294,6 +338,10 @@ class list_heads {
     list_heads& operator=(const list_heads&) = delete;
 
     list_core<P, Node> operator[](std::size_t i) noexcept { return {policy_, heads_[i]}; }
+    /// Chain i's view walking from a start link (see the list_core ctor).
+    list_core<P, Node> chain(std::size_t i, typename P::template link<Node>* start) noexcept {
+        return {policy_, heads_[i], start};
+    }
     std::size_t size() const noexcept { return n_; }
 
     /// Quiescent teardown of every chain; the heads stay usable.

@@ -40,13 +40,23 @@
 //
 // Why a stale helper cannot strand a cell: an owner only reuses a
 // descriptor after its operation decided AND its own phase-2 unroll pass
-// returned. Post-decision, the descriptor's tagged word can never be
+// returned. Post-decision, the MCAS descriptor's tagged word can never be
 // (re)installed into a cell — an RDCSS completing after the decision always
 // restores the data value, because its control read (validated or not: a
 // sequence mismatch implies "decided", owners only recycle terminal
 // descriptors) observes a decided status. So once a helper's validation
 // fails, the cell it came from has already been unrolled past the stale
 // word, and re-reading it makes progress.
+//
+// A stale helper's own RDCSS word is another matter. A helper that
+// validated before the decision and resumes after it still runs its RDCSS
+// on a cell that holds the entry's expected value — an entry whose old and
+// new values match (LFRCLoad's `next: P -> P`) or a value that came back —
+// and that RDCSS installs its word there until its completion restores the
+// value a few steps later. So even a thread that owns an object alone can
+// find a descriptor word in its cells: every read goes through read()
+// (basic_domain's exclusive_get included; tests/sim/sim_stale_helper_test
+// stages the window).
 //
 // The address-ordering of entries prevents two overlapping operations from
 // installing in opposite orders and repeatedly aborting each other.

@@ -48,6 +48,7 @@
 //    destruction work per call.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
@@ -123,16 +124,16 @@ class basic_domain {
         ptr_field(const ptr_field&) = delete;
         ptr_field& operator=(const ptr_field&) = delete;
 
-        /// Raw decoded value. Safe only with exclusive access (during
-        /// destruction, construction before publication, or quiescence).
+        /// Decoded value, for a single owner (during destruction,
+        /// construction before publication, or quiescence). The read goes
+        /// through the engine all the same: a stale helper that validated
+        /// an operation on this cell before it completed can still park
+        /// its RDCSS word here for a few steps, and only the engine
+        /// resolves that word to the value.
         T* exclusive_get() const noexcept {
             static_assert(std::is_base_of_v<object, T>,
                           "ptr_field may only hold LFRC-managed objects");
-            const std::uint64_t v =
-                const_cast<dcas::cell&>(cell_).raw().load(std::memory_order_acquire);
-            assert(dcas::is_clean_value(v) &&
-                   "exclusive_get observed an in-flight engine descriptor");
-            return dcas::decode_ptr<T>(v);
+            return decode_exclusive<T>(const_cast<dcas::cell&>(cell_));
         }
 
       private:
@@ -472,6 +473,21 @@ class basic_domain {
     }
 
 #if defined(LFRC_ENABLE_MUTATIONS)
+    /// Seeded stale-helper bug (tests/sim/sim_stale_helper_test): when set,
+    /// exclusive_get loads the cell raw and returns whatever word is there
+    /// — the read that handed a parked RDCSS word to destroy as a child.
+    static std::atomic<bool>& mutate_raw_exclusive_get() noexcept {
+        static std::atomic<bool> flag{false};
+        return flag;
+    }
+    /// White-box cell access, for staging an engine operation on a field
+    /// and a count the way load() pairs them.
+    template <typename T>
+    static dcas::cell& testing_cell_of(ptr_field<T>& f) noexcept {
+        return f.cell_;
+    }
+    static dcas::cell& testing_rc_of(object* p) noexcept { return p->rc_; }
+
     /// MUTANT of load() for the sim harness's self-test ONLY (never compiled
     /// into production or the normal test suite): the Valois-style bug the
     /// paper's §2 uses to motivate DCAS. It increments the pointee's count
@@ -636,17 +652,13 @@ class basic_domain {
         ll_field(const ll_field&) = delete;
         ll_field& operator=(const ll_field&) = delete;
 
-        /// Raw decoded pointer. Safe only with exclusive access — the same
-        /// contract as ptr_field::exclusive_get. Objects whose
+        /// Decoded pointer, for a single owner — the same contract and the
+        /// same engine read as ptr_field::exclusive_get. Objects whose
         /// lfrc_visit_children must report an ll_field's pointee use this.
         T* exclusive_get() const noexcept {
             static_assert(std::is_base_of_v<object, T>,
                           "ll_field may only hold LFRC-managed objects");
-            const std::uint64_t v =
-                const_cast<dcas::cell&>(ptr_).raw().load(std::memory_order_acquire);
-            assert(dcas::is_clean_value(v) &&
-                   "exclusive_get observed an in-flight engine descriptor");
-            return dcas::decode_ptr<T>(v);
+            return decode_exclusive<T>(const_cast<dcas::cell&>(ptr_));
         }
 
       private:
@@ -826,6 +838,18 @@ class basic_domain {
     }
 
   private:
+    /// exclusive_get's read: through the engine, which resolves a parked
+    /// descriptor word instead of returning it.
+    template <typename T>
+    static T* decode_exclusive(dcas::cell& c) noexcept {
+#if defined(LFRC_ENABLE_MUTATIONS)
+        if (mutate_raw_exclusive_get().load(std::memory_order_relaxed)) {
+            return reinterpret_cast<T*>(c.raw().load(std::memory_order_acquire));
+        }
+#endif
+        return dcas::decode_ptr<T>(Engine::read(c));
+    }
+
     /// Collect children of a dead object and hand its storage to the epoch
     /// domain (line 15's `delete`, deferred — see the header comment).
     static void retire_garbage(object* p, child_visitor& children) {

@@ -4,6 +4,9 @@
 //            [--buckets=64] [--policy=deferred|ebr|borrowed|leaky]
 //            [--max_conn_buffer=1048576] [--tick_ms=10] [--pin]
 //
+// --buckets is the starting number of buckets per shard: the store doubles
+// its index online once it holds more than 8 live entries per bucket.
+//
 // SIGINT/SIGTERM run the graceful drain (stop accepting, flush owed
 // responses, quiesce workers, kv_store::drain()); the exit status is 0 iff
 // the store drained to zero residual — CI's loopback smoke asserts on it.

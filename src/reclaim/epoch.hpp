@@ -2,12 +2,15 @@
 //
 // Two roles in this repo:
 //  1. A comparator reclamation scheme for the GC-dependent container
-//     baselines (experiment E5) — retire-on-unlink, free after a grace
-//     period.
-//  2. The recycler for the lock-free DCAS emulation's descriptors
-//     (dcas::mcas_engine): helpers may dereference a descriptor pointer
-//     found in a cell, so descriptors are freed only after every thread that
-//     could have seen that pointer has left its critical section.
+//     baselines (smr::ebr, experiment E5) — retire-on-unlink, free after a
+//     grace period.
+//  2. The grace period behind the other epoch-pinned paths: the LFRC
+//     domain defers each object's physical free through it (a DCAS helper
+//     may still touch the cells of an object whose count just reached
+//     zero), borrowed and deferred guards pin it for their reads, and
+//     smr::deferred's review queue frees only after it. The DCAS engine's
+//     descriptors are permanent per-thread storage and never pass through
+//     here.
 //
 // Protocol (classic three-epoch scheme):
 //  * A thread entering a critical section announces the current global

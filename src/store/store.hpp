@@ -13,13 +13,25 @@
 //                 benchmarks. smr::gc_heap is excluded: its guard offers
 //                 no versioned value slots (the gc-vs-lfrc comparison is
 //                 E8's, at container granularity).
-//   sharding      N power-of-two shards of B buckets, each bucket a
+//   sharding      N power-of-two shards of B level-0 buckets, each a
 //                 containers::list_core chain (the DCAS-deletion list
 //                 protocol), so contention and chain length shrink by
-//                 shards × buckets. The buckets are one contiguous
+//                 shards × buckets. The level-0 heads are one contiguous
 //                 list_heads array, shard-major (shard s owns heads
 //                 [s·B, (s+1)·B)): a bucket is a 16-byte inline head, with
 //                 no sentinel node and no per-bucket heap object.
+//   growth        split-ordered (Shalev & Shavit, JACM 2006), without bit
+//                 reversal: a chain is sorted by the key's util::mix64
+//                 image, and a sub-bucket is a prefix range of that image.
+//                 When the live entries pass grow_load per bucket, the
+//                 number of sub-buckets per chain doubles. A sub-bucket is
+//                 anchored by a permanent dummy entry whose key is the
+//                 range's boundary: the first writer into it inserts the
+//                 dummy with get_or_insert, then publishes it with cas_link
+//                 into an append-only segment table. Readers start from the
+//                 nearest published anchor at or before their key and never
+//                 create one. No node ever moves, so a lazy reader part-way
+//                 through a chain never misses a key (DESIGN.md §9).
 //   values        each entry owns its current value through a P::vslot: a
 //                 (pointer, version) cell pair. For counted policies the
 //                 pointer half carries the LFRC count; the version half
@@ -43,8 +55,8 @@
 //                 clobber a racing fresh put). sweep_expired() does the
 //                 same eagerly and then drains the policy so the memory
 //                 actually shrinks.
-//   shutdown      drain() severs every bucket chain and drives the
-//                 policy's bounded drain to completion.
+//   shutdown      drain() clears every anchor link, severs every level-0
+//                 chain and drives the policy's bounded drain to completion.
 //
 // Linearizability around entry removal: erase claims the entry's value AND
 // marks the entry dead in ONE atomic step (P::vclaim_mark_dead, a 3-word
@@ -64,10 +76,13 @@
 // pass synthetic times, keeping schedules deterministic).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "containers/list_core.hpp"
@@ -94,16 +109,26 @@ struct store_stats {
     }
 };
 
-template <typename Policy, typename Key, typename Value, typename Hash = std::hash<Key>>
+/// Keys are integers of at most 64 bits: an entry keeps the key's mix64
+/// image (a bijection) in its key slot, which orders its chain.
+template <typename Policy, typename Key, typename Value>
 class kv_store {
   public:
     using policy_t = Policy;
     static_assert(lfrc::smr::policy<policy_t>);
+    static_assert(std::is_integral_v<Key> && sizeof(Key) <= sizeof(std::uint64_t),
+                  "kv_store keys are integers of at most 64 bits");
 
     struct config {
         std::size_t shards = 8;             ///< rounded up to a power of two
-        std::size_t buckets_per_shard = 64;
+        std::size_t buckets_per_shard = 64; ///< the starting size; the index grows
     };
+
+    /// Live entries per bucket past which the index doubles.
+    static constexpr std::size_t grow_load = 8;
+    /// Doublings the index can take: at most 2^max_level sub-buckets per
+    /// level-0 bucket.
+    static constexpr unsigned max_level = 32;
 
     /// A versioned read: `found` distinguishes a live value from absence;
     /// `version` is the entry's value-slot version either way (0 = absent /
@@ -117,7 +142,11 @@ class kv_store {
     explicit kv_store(config cfg = {})
         : shard_mask_(pow2_at_least(cfg.shards) - 1),
           buckets_per_shard_(cfg.buckets_per_shard > 0 ? cfg.buckets_per_shard : 1),
-          buckets_(policy_, (shard_mask_ + 1) * buckets_per_shard_) {}
+          chains_(policy_, (shard_mask_ + 1) * buckets_per_shard_) {}
+
+    /// Anchor links go first: under the counted policies each holds a
+    /// reference on its dummy, which the chain teardown would not release.
+    ~kv_store() { release_anchors(); }
 
     kv_store(const kv_store&) = delete;
     kv_store& operator=(const kv_store&) = delete;
@@ -130,9 +159,10 @@ class kv_store {
     /// race out a fresh put).
     std::optional<Value> get(const Key& key, std::uint64_t now_ns = 0) {
         stats_stripe& st = stats_.local();
-        st.gets.fetch_add(1, std::memory_order_relaxed);
+        bump(st.gets);
         typename policy_t::guard g(policy_);
-        entry_t* entry = bucket_for(key).find(g, key);
+        const std::uint64_t h = image(key);
+        entry_t* entry = reader_view(h).find(g, probe{h, false});
         if (entry == nullptr) return std::nullopt;
         std::uint64_t version = 0;
         box_t* box = g.template vtraverse<box_t>(3, entry->val, version);
@@ -143,7 +173,7 @@ class kv_store {
             if (g.upgrade(1)) lazy_expire(g, entry, now_ns);
             return std::nullopt;
         }
-        st.hits.fetch_add(1, std::memory_order_relaxed);
+        bump(st.hits);
         return box->payload;
     }
 
@@ -152,9 +182,10 @@ class kv_store {
     /// policies, and the store's only fully-helping read path.
     std::optional<Value> get_counted(const Key& key, std::uint64_t now_ns = 0) {
         stats_stripe& st = stats_.local();
-        st.gets.fetch_add(1, std::memory_order_relaxed);
+        bump(st.gets);
         typename policy_t::guard g(policy_);
-        entry_t* entry = find_strong(g, bucket_for(key), key);
+        const std::uint64_t h = image(key);
+        entry_t* entry = find_strong(g, reader_view(h), h);
         if (entry == nullptr) return std::nullopt;
         std::uint64_t version = 0;
         box_t* box = g.template vprotect<box_t>(3, entry->val, version);
@@ -163,7 +194,7 @@ class kv_store {
             lazy_expire(g, entry, now_ns);
             return std::nullopt;
         }
-        st.hits.fetch_add(1, std::memory_order_relaxed);
+        bump(st.hits);
         return box->payload;
     }
 
@@ -171,9 +202,10 @@ class kv_store {
     /// version feeds a later cas(). Absent keys report version 0.
     versioned get_versioned(const Key& key, std::uint64_t now_ns = 0) {
         stats_stripe& st = stats_.local();
-        st.gets.fetch_add(1, std::memory_order_relaxed);
+        bump(st.gets);
         typename policy_t::guard g(policy_);
-        entry_t* entry = bucket_for(key).find(g, key);
+        const std::uint64_t h = image(key);
+        entry_t* entry = reader_view(h).find(g, probe{h, false});
         if (entry == nullptr) return {};
         std::uint64_t version = 0;
         box_t* box = g.template vtraverse<box_t>(3, entry->val, version);
@@ -186,7 +218,7 @@ class kv_store {
             }
             return versioned{false, Value{}, version};
         }
-        st.hits.fetch_add(1, std::memory_order_relaxed);
+        bump(st.hits);
         return versioned{true, box->payload, version};
     }
 
@@ -196,14 +228,16 @@ class kv_store {
     /// otherwise it expires at now_ns + ttl_ns.
     void put(const Key& key, Value value, std::uint64_t ttl_ns = 0,
              std::uint64_t now_ns = 0) {
-        stats_.local().puts.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.local().puts);
         typename policy_t::guard g(policy_);
         auto box = policy_.template make_owner<box_t>(std::move(value),
                                                       deadline(ttl_ns, now_ns));
-        bucket_t bucket = bucket_for(key);
+        const std::uint64_t h = image(key);
+        bucket_t bucket = writer_view(g, h);
         for (;;) {
             auto [entry, inserted] = bucket.get_or_insert(
-                g, key, [&] { return policy_.template make_owner<entry_t>(key); });
+                g, probe{h, false}, [&] { return policy_.template make_owner<entry_t>(h); });
+            if (inserted) note_inserted();
             while (!policy_.flag_load(entry->dead)) {
                 std::uint64_t version = 0;
                 box_t* cur = g.template vprotect<box_t>(3, entry->val, version);
@@ -231,21 +265,23 @@ class kv_store {
         typename policy_t::guard g(policy_);
         auto box = policy_.template make_owner<box_t>(std::move(value),
                                                       deadline(ttl_ns, now_ns));
-        bucket_t bucket = bucket_for(key);
+        const std::uint64_t h = image(key);
+        bucket_t bucket = writer_view(g, h);
         for (;;) {
             auto [entry, inserted] = bucket.get_or_insert(
-                g, key, [&] { return policy_.template make_owner<entry_t>(key); });
+                g, probe{h, false}, [&] { return policy_.template make_owner<entry_t>(h); });
+            if (inserted) note_inserted();
             while (!policy_.flag_load(entry->dead)) {
                 std::uint64_t version = 0;
                 box_t* cur = g.template vprotect<box_t>(3, entry->val, version);
                 if (policy_.flag_load(entry->dead)) break;  // frozen slot
                 if (version != expected_version) {
-                    stats_.local().cas_fail.fetch_add(1, std::memory_order_relaxed);
+                    bump(stats_.local().cas_fail);
                     return false;
                 }
                 if (policy_.vinstall_if_live(entry->val, version, cur, box.get(),
                                              entry->dead)) {
-                    stats_.local().cas_ok.fetch_add(1, std::memory_order_relaxed);
+                    bump(stats_.local().cas_ok);
                     policy_.publish_ok(box);
                     return true;
                 }
@@ -261,9 +297,10 @@ class kv_store {
     /// witnessed — no write can slip in between snapshot and mark.
     bool erase(const Key& key, std::uint64_t now_ns = 0) {
         typename policy_t::guard g(policy_);
-        bucket_t bucket = bucket_for(key);
+        const std::uint64_t h = image(key);
+        bucket_t bucket = reader_view(h);
         for (;;) {
-            entry_t* entry = find_strong(g, bucket, key);
+            entry_t* entry = find_strong(g, bucket, h);
             if (entry == nullptr) return false;
             std::uint64_t version = 0;
             box_t* cur = g.template vprotect<box_t>(3, entry->val, version);
@@ -271,11 +308,15 @@ class kv_store {
                 if (policy_.flag_load(entry->dead)) return false;  // racer claimed it
                 continue;  // a write moved the value under us; re-decide
             }
-            // cur stays protected in slot 3 (the claim retires, never frees,
-            // under a live protection), so the expiry check below is safe.
-            bucket.help_unlink(g, key);  // eager physical removal
-            stats_.local().erases.fetch_add(1, std::memory_order_relaxed);
-            return cur != nullptr && !expired(cur, now_ns);
+            // cur is still protected in slot 3 (the claim retires, never
+            // frees, under a live protection); read it before the unlink's
+            // search, whose order hook may take slot 3.
+            const bool removed = cur != nullptr && !expired(cur, now_ns);
+            bucket.help_unlink(g, probe{h, false});  // eager physical removal
+            stats_stripe& st = stats_.local();
+            bump(st.erases);
+            bump(st.live, std::int64_t{-1});
+            return removed;
         }
     }
 
@@ -287,9 +328,9 @@ class kv_store {
     /// expired by this call.
     std::size_t sweep_expired(std::uint64_t now_ns, int flush_rounds = 16) {
         std::size_t cleared = 0;
-        for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        for (std::size_t c = 0; c < chains_.size(); ++c) {
             typename policy_t::guard g(policy_);
-            buckets_[b].for_each(g, [&](entry_t& entry) {
+            chains_[c].for_each(g, [&](entry_t& entry) {
                 std::uint64_t version = 0;
                 box_t* box = g.template vtraverse<box_t>(3, entry.val, version);
                 if (box == nullptr || !expired(box, now_ns)) return;
@@ -301,12 +342,14 @@ class kv_store {
         return cleared;
     }
 
-    /// Graceful shutdown: sever every bucket chain and drain the policy.
-    /// Returns the residual pending count (0 = fully quiesced; nonzero
-    /// means a pin/hazard elsewhere is still held). Writers must be
-    /// quiesced first (clear() contract).
+    /// Graceful shutdown: clear the anchor links, sever every level-0
+    /// chain and drain the policy. Returns the residual pending count (0 =
+    /// fully quiesced; nonzero means a pin/hazard elsewhere is still held).
+    /// Writers must be quiesced first (clear() contract). The index keeps
+    /// its grown size.
     std::uint64_t drain(int flush_rounds = 64) {
-        buckets_.clear();
+        release_anchors();
+        chains_.clear();
         return policy_.drain(flush_rounds);
     }
 
@@ -315,9 +358,9 @@ class kv_store {
     /// Live, unexpired entries. Exact only at quiescence.
     std::size_t size(std::uint64_t now_ns = 0) {
         std::size_t n = 0;
-        for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        for (std::size_t c = 0; c < chains_.size(); ++c) {
             typename policy_t::guard g(policy_);
-            buckets_[b].for_each(g, [&](entry_t& entry) {
+            chains_[c].for_each(g, [&](entry_t& entry) {
                 std::uint64_t version = 0;
                 box_t* box = g.template vtraverse<box_t>(3, entry.val, version);
                 if (box != nullptr && !expired(box, now_ns)) ++n;
@@ -335,7 +378,11 @@ class kv_store {
     policy_t& policy() noexcept { return policy_; }
 
     std::size_t shard_count() const noexcept { return shard_mask_ + 1; }
-    std::size_t bucket_count() const noexcept { return buckets_.size(); }
+    /// The configured level-0 buckets times the current sub-buckets per
+    /// bucket: grows as the store fills, never shrinks.
+    std::size_t bucket_count() const noexcept {
+        return chains_.size() << level_.load(std::memory_order_acquire);
+    }
 
     /// The reclamation backlog attributable to this store's policy (global
     /// per scheme, not per store — comparable across stores of one policy
@@ -376,17 +423,48 @@ class kv_store {
                   "box_t must declare smr_link_count and a visitable "
                   "smr_children enumeration");
 
+    /// What a walk looks for: a key's image, and whether it is the dummy
+    /// anchoring the sub-bucket that starts at that image.
+    struct probe {
+        std::uint64_t image;
+        bool anchor;
+    };
+
     /// A key's slot in its bucket list: the list_core node contract
     /// (next/dead/key) plus the versioned value field. A bucket walk reads
     /// `key` and `next` of every entry it passes, so they sit side by side
-    /// and share a cache line for all but a few entry placements.
+    /// and share a cache line for all but a few entry placements. A dummy
+    /// anchor is an entry too: its key is its sub-bucket's boundary.
     struct entry_t : policy_t::template node_base<entry_t> {
-        Key key{};
+        std::uint64_t key;  ///< the key's mix64 image, or an anchor's boundary
         typename policy_t::template link<entry_t> next;
         typename policy_t::flag dead;
         typename policy_t::template vslot<box_t> val;
 
-        explicit entry_t(Key k) : key(std::move(k)) {}
+        explicit entry_t(std::uint64_t k) : key(k) {}
+
+        /// list_core's ordering hook. Chains sort by image, and a dummy
+        /// sorts just before an entry with its image. Only an image whose
+        /// low bits are zero can be a boundary, so only such a tie reads
+        /// the node's anchor mark (in guard slot 3).
+        int order(policy_t& p, typename policy_t::guard& g, const probe& k) {
+            if (key != k.image) return key < k.image ? -1 : 1;
+            if ((key & (~std::uint64_t{0} >> max_level)) != 0) return 0;
+            const bool anchor = is_anchor(p, g);
+            if (anchor == k.anchor) return 0;
+            return anchor ? -1 : 1;
+        }
+
+        /// The anchor mark: a value slot at version 1 holding nothing, on
+        /// a node that is not dead. No live entry shows it — put and cas
+        /// install a box, an expiry clears only a box (to version >= 2),
+        /// and an erase claim marks the entry dead in the same CASN — so
+        /// the slot is read before the flag.
+        bool is_anchor(policy_t& p, typename policy_t::guard& g) {
+            std::uint64_t version = 0;
+            const bool empty = g.template vtraverse<box_t>(3, val, version) == nullptr;
+            return empty && version == 1 && !p.flag_load(dead);
+        }
 
         static constexpr std::size_t smr_link_count = 2;
         template <typename F>
@@ -410,9 +488,23 @@ class kv_store {
     /// entry lands in is most of a loaded store's footprint.
     using entry_type = entry_t;
 
+#if defined(LFRC_ENABLE_MUTATIONS)
+    /// Seeded growth bug for mutation testing (tests/sim/sim_store_growth_
+    /// test): when set, a writer publishes a new dummy in the segment table
+    /// before the DCAS that links it into its chain.
+    static std::atomic<bool>& mutate_publish_before_link() noexcept {
+        static std::atomic<bool> flag{false};
+        return flag;
+    }
+#endif
+
   private:
     using bucket_t = containers::list_core<policy_t, entry_t>;
+    using link_t = typename policy_t::template link<entry_t>;
 
+    /// Each slot's stripe: only the owning slot writes it (bump below).
+    /// `live` counts entries inserted minus entries claimed by this slot;
+    /// it is signed because a slot may claim entries another inserted.
     struct stats_stripe {
         std::atomic<std::uint64_t> gets{0};
         std::atomic<std::uint64_t> hits{0};
@@ -421,7 +513,14 @@ class kv_store {
         std::atomic<std::uint64_t> cas_ok{0};
         std::atomic<std::uint64_t> cas_fail{0};
         std::atomic<std::uint64_t> expired{0};
+        std::atomic<std::int64_t> live{0};
     };
+
+    /// Owner-only counter update: a load and a store, no locked RMW.
+    template <typename T>
+    static void bump(std::atomic<T>& c, T d = 1) noexcept {
+        c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+    }
 
     static std::size_t pow2_at_least(std::size_t n) noexcept {
         std::size_t p = 1;
@@ -437,11 +536,15 @@ class kv_store {
         return ttl_ns == 0 ? 0 : now_ns + ttl_ns;
     }
 
+    static std::uint64_t image(const Key& key) noexcept {
+        return util::mix64(static_cast<std::uint64_t>(key));
+    }
+
     /// Strong lookup via the helping search: the live entry, protected in
     /// slot 1, or null.
-    entry_t* find_strong(typename policy_t::guard& g, bucket_t bucket, const Key& key) {
-        auto pos = bucket.search(g, key);
-        return (pos.curr != nullptr && pos.curr->key == key) ? pos.curr : nullptr;
+    entry_t* find_strong(typename policy_t::guard& g, bucket_t bucket, std::uint64_t h) {
+        auto pos = bucket.search(g, probe{h, false});
+        return pos.match ? pos.curr : nullptr;
     }
 
     /// Clear an expired value through a version-tied install of null.
@@ -456,22 +559,151 @@ class kv_store {
                                       static_cast<box_t*>(nullptr), entry->dead)) {
             return false;  // racing put/erase acted first; nothing to clear
         }
-        stats_.local().expired.fetch_add(1, std::memory_order_relaxed);
+        bump(stats_.local().expired);
         return true;
     }
 
-    bucket_t bucket_for(const Key& key) {
-        // Shard index consumes the low bits; buckets key off the high ones.
-        const std::uint64_t h = util::mix64(hasher_(key));
-        return buckets_[util::low_index(h, shard_mask_) * buckets_per_shard_ +
-                        util::high_index(h, buckets_per_shard_)];
+    // ---- the index -----------------------------------------------------
+
+    /// The level-0 chain of image h. The shard takes the low bits, the
+    /// bucket bits 32 and up; sub-buckets split a chain by the top bits.
+    std::size_t chain_of(std::uint64_t h) const noexcept {
+        return util::low_index(h, shard_mask_) * buckets_per_shard_ +
+               util::high_index(h, buckets_per_shard_);
     }
 
-    Hash hasher_;
+    /// Sub-bucket j's anchor link (j > 0) in chain c, the index at `level`
+    /// being the top `level` bits of the image. Segment s holds the
+    /// boundaries that appeared at level s — the odd j at that level.
+    link_t& anchor_link(std::size_t c, unsigned level, std::uint64_t j) noexcept {
+        const auto t = static_cast<unsigned>(std::countr_zero(j));
+        const unsigned s = level - t;
+        return segments_[s].load(std::memory_order_acquire)[(c << (s - 1)) + (j >> (t + 1))];
+    }
+
+    /// A view of chain c from the nearest published anchor at or before
+    /// sub-bucket j: j itself, then each ancestor (j with its lowest set bit
+    /// cleared), down to the head.
+    bucket_t published_view(std::size_t c, unsigned level, std::uint64_t j) {
+        for (; j != 0; j &= j - 1) {
+            link_t& l = anchor_link(c, level, j);
+            if (policy_.peek(l) != nullptr) return chains_.chain(c, &l);
+        }
+        return chains_[c];
+    }
+
+    /// Where a reader (or an eraser) of image h starts. Readers never
+    /// create anchors.
+    bucket_t reader_view(std::uint64_t h) {
+        const std::size_t c = chain_of(h);
+        const unsigned level = level_.load(std::memory_order_acquire);
+        if (level == 0) return chains_[c];
+        return published_view(c, level, h >> (64 - level));
+    }
+
+    /// Where a writer of image h starts: its own sub-bucket's anchor. The
+    /// first writer into a sub-bucket inserts the dummy from the nearest
+    /// published ancestor, and publishes it only after the DCAS that
+    /// linked it: a walk from an anchor must see the whole chain past it.
+    bucket_t writer_view(typename policy_t::guard& g, std::uint64_t h) {
+        const std::size_t c = chain_of(h);
+        const unsigned level = level_.load(std::memory_order_acquire);
+        const std::uint64_t j = level == 0 ? 0 : h >> (64 - level);
+        if (j == 0) return chains_[c];
+        link_t& own = anchor_link(c, level, j);
+        if (policy_.peek(own) == nullptr) {
+            const std::uint64_t boundary = j << (64 - level);
+            entry_t* dummy = published_view(c, level, j & (j - 1))
+                .get_or_insert(g, probe{boundary, true}, [&] {
+                    auto fresh = make_anchor(boundary);
+#if defined(LFRC_ENABLE_MUTATIONS)
+                    if (mutate_publish_before_link().load(std::memory_order_relaxed)) {
+                        policy_.cas_link(own, static_cast<entry_t*>(nullptr), fresh.get());
+                    }
+#endif
+                    return fresh;
+                })
+                .first;
+            // A racer that lost this CAS publishes the same dummy: a chain
+            // holds one dummy per boundary, and dummies are never removed.
+            policy_.cas_link(own, static_cast<entry_t*>(nullptr), dummy);
+        }
+        return chains_.chain(c, &own);
+    }
+
+    /// A fresh dummy carrying the anchor mark (entry_t::is_anchor), set by
+    /// one install while the node is still private.
+    auto make_anchor(std::uint64_t boundary) {
+        auto dummy = policy_.template make_owner<entry_t>(boundary);
+        policy_.vinstall_if_live(dummy->val, 0, static_cast<box_t*>(nullptr),
+                                 static_cast<box_t*>(nullptr), dummy->dead);
+        return dummy;
+    }
+
+    /// After an insert: count it, and whenever this slot's own count
+    /// reaches a multiple of `step` (an eighth of the buckets, as a power
+    /// of two) compare the summed count with the grow threshold. A slot
+    /// adds fewer than `step` live entries between two of its checks, so
+    /// the store passes its threshold by at most threads × step — threads/64
+    /// of it — before a doubling.
+    void note_inserted() {
+        std::atomic<std::int64_t>& live = stats_.local().live;
+        const std::int64_t mine = live.load(std::memory_order_relaxed) + 1;
+        live.store(mine, std::memory_order_relaxed);
+        unsigned level = level_.load(std::memory_order_acquire);
+        const std::size_t step = std::bit_floor(std::max<std::size_t>(
+            (chains_.size() << level) / grow_load, 1));
+        if ((static_cast<std::uint64_t>(mine) & (step - 1)) != 0) return;
+        std::int64_t total = 0;
+        stats_.for_each([&total](const stats_stripe& st) {
+            total += st.live.load(std::memory_order_relaxed);
+        });
+        while (level < max_level &&
+               total > static_cast<std::int64_t>(grow_load * (chains_.size() << level))) {
+            grow(level);
+            level = level_.load(std::memory_order_acquire);
+        }
+    }
+
+    /// Double the sub-buckets: publish segment level+1 (all links empty),
+    /// then move the level. A racer's segment loses the CAS and is freed;
+    /// a published one is never copied or moved.
+    void grow(unsigned level) {
+        const unsigned s = level + 1;
+        if (segments_[s].load(std::memory_order_acquire) == nullptr) {
+            auto seg = std::make_unique<link_t[]>(chains_.size() << level);
+            link_t* expected = nullptr;
+            if (segments_[s].compare_exchange_strong(expected, seg.get())) {
+                segment_owners_[s] = std::move(seg);
+            }
+        }
+        level_.compare_exchange_strong(level, s);
+    }
+
+    /// Quiescent: empty every anchor link. Under the counted policies
+    /// that drops each link's reference on its dummy; the dummies
+    /// themselves leave with their level-0 chains.
+    void release_anchors() {
+        const unsigned level = level_.load(std::memory_order_acquire);
+        for (unsigned s = 1; s <= level; ++s) {
+            link_t* seg = segments_[s].load(std::memory_order_acquire);
+            for (std::size_t i = 0; i < (chains_.size() << (s - 1)); ++i) {
+                if (entry_t* dummy = policy_.peek(seg[i])) {
+                    policy_.cas_link(seg[i], dummy, static_cast<entry_t*>(nullptr));
+                }
+            }
+        }
+    }
+
     policy_t policy_{};
     std::size_t shard_mask_;
     std::size_t buckets_per_shard_;
-    containers::list_heads<policy_t, entry_t> buckets_;
+    containers::list_heads<policy_t, entry_t> chains_;  ///< level 0
+    std::atomic<unsigned> level_{0};                     ///< doublings so far
+    /// segments_[s] (s >= 1): chains × 2^(s-1) anchor links, published
+    /// before level_ reaches s; segment_owners_ frees them.
+    std::atomic<link_t*> segments_[max_level + 1] = {};
+    std::unique_ptr<link_t[]> segment_owners_[max_level + 1];
     util::slot_striped<stats_stripe> stats_;
 };
 

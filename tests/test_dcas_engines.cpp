@@ -161,18 +161,22 @@ TYPED_TEST(DcasEngineTest, DcasTransfersConserveSum) {
 
 // Pair-equality invariant: writers keep a == b via DCAS; validating readers
 // use a no-op DCAS to take an atomic snapshot of the pair. A successful
-// snapshot with a != b means some DCAS was not atomic.
+// snapshot with a != b means some DCAS was not atomic. Each writer does a
+// fixed share of DCASes and then keeps going until the reader has its
+// snapshots, so reader and writers overlap however the threads are
+// scheduled; the final count is the writers' successful DCASes, exactly.
 TYPED_TEST(DcasEngineTest, PairEqualityInvariantUnderContention) {
     constexpr int writers = 3;
     constexpr int per_thread = 4000;
+    constexpr std::uint64_t wanted_snapshots = 200;
     cell a{dcas::encode_count(0)};
     cell b{dcas::encode_count(0)};
-    std::atomic<bool> stop{false};
     std::atomic<int> violations{0};
     std::atomic<std::uint64_t> snapshots{0};
+    std::atomic<std::uint64_t> written{0};
 
     std::thread reader([&] {
-        while (!stop.load(std::memory_order_acquire)) {
+        while (snapshots.load(std::memory_order_relaxed) < wanted_snapshots) {
             const auto va = TypeParam::read(a);
             const auto vb = TypeParam::read(b);
             if (TypeParam::dcas(a, b, va, vb, va, vb)) {
@@ -184,7 +188,10 @@ TYPED_TEST(DcasEngineTest, PairEqualityInvariantUnderContention) {
     std::vector<std::thread> pool;
     for (int t = 0; t < writers; ++t) {
         pool.emplace_back([&] {
-            for (int i = 0; i < per_thread; ++i) {
+            std::uint64_t mine = 0;
+            for (int i = 0;
+                 i < per_thread || snapshots.load(std::memory_order_relaxed) < wanted_snapshots;
+                 ++i) {
                 for (;;) {
                     const auto va = TypeParam::read(a);
                     const auto vb = TypeParam::read(b);
@@ -192,18 +199,19 @@ TYPED_TEST(DcasEngineTest, PairEqualityInvariantUnderContention) {
                     const auto next = dcas::encode_count(dcas::decode_count(va) + 1);
                     if (TypeParam::dcas(a, b, va, vb, next, next)) break;
                 }
+                ++mine;
             }
+            written.fetch_add(mine, std::memory_order_relaxed);
         });
     }
     for (auto& t : pool) t.join();
-    stop = true;
     reader.join();
 
     EXPECT_EQ(violations.load(), 0);
-    EXPECT_GT(snapshots.load(), 0u);
+    EXPECT_EQ(snapshots.load(), wanted_snapshots);
     EXPECT_EQ(TypeParam::read(a), TypeParam::read(b));
-    EXPECT_EQ(dcas::decode_count(TypeParam::read(a)),
-              static_cast<std::uint64_t>(writers) * per_thread);
+    EXPECT_GE(written.load(), static_cast<std::uint64_t>(writers) * per_thread);
+    EXPECT_EQ(dcas::decode_count(TypeParam::read(a)), written.load());
 }
 
 // --- Value-encoding helpers --------------------------------------------------

@@ -1,7 +1,8 @@
 // lfrc::store::kv_store — sequential semantics, TTL expiry, version-cas
 // conflict rules, graceful drain, and a concurrent churn test; plus the
-// same store body under the manual smr policies (DESIGN.md §9/§10) and the
-// store's memory layout under every policy it supports.
+// same store body under the manual smr policies (DESIGN.md §9/§10), the
+// store's memory layout, and the index's growth under every policy it
+// supports.
 //
 // Time never comes from a clock here: every expiry test passes explicit
 // now_ns values, which is the store's own contract (sim determinism).
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/arena.hpp"
@@ -17,10 +19,36 @@
 #include "lfrc/lfrc.hpp"
 #include "store/store.hpp"
 #include "store/workload.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
 using namespace lfrc;
+
+/// The multiplicative inverse of an odd number modulo 2^64 (Newton's
+/// iteration doubles the correct low bits each step, from 3).
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+    std::uint64_t x = a;
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+}
+
+/// The inverse of util::mix64: each xorshift by 33 is its own inverse, and
+/// each multiply is undone by its constant's inverse.
+std::uint64_t unmix64(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= inverse_mod_2_64(0xc4ceb9fe1a85ec53ULL);
+    h ^= h >> 33;
+    h *= inverse_mod_2_64(0xff51afd7ed558ccdULL);
+    h ^= h >> 33;
+    return h;
+}
+
+/// The key whose image is the boundary of sub-bucket j at `level`: the
+/// key a dummy anchor ties with.
+std::uint64_t boundary_key(std::uint64_t j, unsigned level) {
+    return unmix64(j << (64 - level));
+}
 
 template <typename P>
 class StoreTest : public ::testing::Test {
@@ -292,6 +320,142 @@ TYPED_TEST(StoreLayoutTest, BucketsAllocateNoNodesAndEachKeyTwo) {
         EXPECT_EQ(s.drain(), 0u);
     }
     EXPECT_EQ(alloc::live_objects(), before);
+}
+
+// Past the grow threshold a key still costs its entry and box, and each
+// grown bucket one dummy: bucket_count() minus the configured count, once
+// every sub-bucket has had a writer (a failing cas is a writer that
+// installs nothing). Caught mutant: a dummy marked by a box of its own.
+TYPED_TEST(StoreLayoutTest, GrownBucketsCostOneDummyEach) {
+    using store_t = store::kv_store<TypeParam, std::uint64_t, std::uint64_t>;
+    TypeParam{}.drain(64);
+    const std::int64_t before = alloc::live_objects();
+    {
+        store_t s(typename store_t::config{4, 64});
+        constexpr std::int64_t n = 4000;  // past 8 × 256, short of 8 × 512
+        for (std::uint64_t k = 0; k < static_cast<std::uint64_t>(n); ++k) s.put(k, k);
+        ASSERT_EQ(s.bucket_count(), 512u);
+        for (std::uint64_t k = 0; k < static_cast<std::uint64_t>(n); ++k) {
+            ASSERT_FALSE(s.cas(k, ~std::uint64_t{0}, 0));
+        }
+        s.policy().drain(64);  // the failed cas calls' boxes
+        EXPECT_EQ(alloc::live_objects() - before,
+                  2 * n + static_cast<std::int64_t>(s.bucket_count() - 256))
+            << "one entry + one box per key, one dummy per grown bucket";
+        EXPECT_EQ(s.drain(), 0u);
+    }
+    EXPECT_EQ(alloc::live_objects(), before);
+}
+
+// ---- growth: the index doubles online, under every store policy --------
+
+template <typename P>
+class StoreGrowthTest : public ::testing::Test {};
+TYPED_TEST_SUITE(StoreGrowthTest, StorePolicies);
+
+// One level-0 bucket takes keys through six doublings. After each, every
+// key written so far reads back, absent keys miss, and bucket_count() is
+// the grown count. Every 10th key's image is a level-5 boundary, so
+// entries that tie with a dummy are written both before and after their
+// dummy exists, and erased and rewritten once the index has grown.
+// Caught mutant: no tie-break (an entry and a dummy with one image match).
+TYPED_TEST(StoreGrowthTest, EveryKeyReadsBackAcrossDoublings) {
+    using store_t = store::kv_store<TypeParam, std::uint64_t, std::uint64_t>;
+    store_t s(typename store_t::config{1, 1});
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> boundaries;
+    for (std::uint64_t j = 1; j < 32; ++j) {
+        boundaries.push_back(boundary_key(j, 5));
+        ASSERT_EQ(util::mix64(boundaries.back()), j << 59) << "unmix64 must invert mix64";
+    }
+    for (std::uint64_t i = 0; keys.size() < 330; ++i) {
+        keys.push_back(i % 10 == 0 && i / 10 < boundaries.size() ? boundaries[i / 10]
+                                                                 : 1'000'000 + i);
+    }
+    const auto check_all = [&](std::size_t written) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const auto got = s.get(keys[i]);
+            if (i < written) {
+                ASSERT_EQ(got.value_or(~std::uint64_t{0}), keys[i] ^ 7) << "key #" << i;
+                ASSERT_EQ(s.get_counted(keys[i]).value_or(0), keys[i] ^ 7) << "key #" << i;
+            } else {
+                ASSERT_FALSE(got.has_value()) << "unwritten key #" << i << " hit";
+            }
+        }
+        ASSERT_FALSE(s.get(boundary_key(1, 6)).has_value()) << "never written";
+    };
+    std::size_t doublings = 0;
+    std::size_t buckets = s.bucket_count();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        s.put(keys[i], keys[i] ^ 7);
+        if (s.bucket_count() != buckets) {
+            ASSERT_EQ(s.bucket_count(), 2 * buckets) << "one doubling at a time";
+            buckets = s.bucket_count();
+            ++doublings;
+            check_all(i + 1);
+        }
+    }
+    EXPECT_EQ(doublings, 6u);
+    EXPECT_EQ(s.bucket_count(), 64u);
+    for (std::uint64_t b : boundaries) EXPECT_TRUE(s.erase(b));
+    for (std::uint64_t k = 0; k < 40; ++k) s.put(2'000'000 + k, 3);
+    for (std::uint64_t b : boundaries) EXPECT_FALSE(s.get(b).has_value());
+    for (std::uint64_t b : boundaries) s.put(b, b ^ 7);
+    check_all(keys.size());
+    for (std::uint64_t k = 0; k < 40; ++k) EXPECT_EQ(s.get(2'000'000 + k).value_or(0), 3u);
+    EXPECT_EQ(s.size(), keys.size() + 40);
+    EXPECT_EQ(s.drain(), 0u);
+}
+
+// Four threads churn put/erase/cas/get over a key space eight times what
+// one level-0 pair of buckets holds, so the index doubles mid-run. Then
+// every key is rewritten and read back, the drain reaches zero, and the
+// census returns to where it started. Caught mutant: drain and the
+// destructor skip the anchor links (the counted policies leak every dummy).
+TYPED_TEST(StoreGrowthTest, ConcurrentChurnGrowsAndDrainsClean) {
+    using store_t = store::kv_store<TypeParam, std::uint64_t, std::uint64_t>;
+    TypeParam{}.drain(64);
+    const std::int64_t before = alloc::live_objects();
+    {
+        store_t s(typename store_t::config{1, 2});
+        constexpr std::uint64_t keyspace = 128;
+        constexpr int thread_count = 4;
+        constexpr int iters = 3000;
+        std::vector<std::thread> workers;
+        for (int t = 0; t < thread_count; ++t) {
+            workers.emplace_back([&, t] {
+                for (int i = 0; i < iters; ++i) {
+                    const std::uint64_t k =
+                        (static_cast<std::uint64_t>(i) * 13 + static_cast<std::uint64_t>(t)) %
+                        keyspace;
+                    switch ((i + t) % 5) {
+                        case 0:
+                        case 1:
+                            s.put(k, k);
+                            break;
+                        case 2:
+                            ASSERT_EQ(s.get(k).value_or(k), k);
+                            break;
+                        case 3:
+                            (void)s.cas(k, s.get_versioned(k).version, k);
+                            break;
+                        default:
+                            (void)s.erase(k);
+                            break;
+                    }
+                }
+            });
+        }
+        for (auto& w : workers) w.join();
+        EXPECT_GT(s.bucket_count(), 2u) << "the key space should have forced a doubling";
+        for (std::uint64_t k = 0; k < keyspace; ++k) s.put(k, k + 1);
+        for (std::uint64_t k = 0; k < keyspace; ++k) ASSERT_EQ(s.get(k).value_or(0), k + 1);
+        EXPECT_EQ(s.drain(), 0u) << "churn left unreclaimed garbage";
+    }
+    if constexpr (!std::is_same_v<TypeParam, smr::leaky<>>) {
+        // (leaky frees only what is still linked at teardown, by design)
+        EXPECT_EQ(alloc::live_objects(), before);
+    }
 }
 
 // The deferred policy's entry — the node a loaded store holds one of per

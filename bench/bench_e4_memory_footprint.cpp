@@ -17,10 +17,11 @@
 #include <string>
 
 #include "alloc/stats.hpp"
-#include "containers/reclaim_stack.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/stack_core.hpp"
 #include "containers/valois_stack.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
+#include "smr/manual.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -57,9 +58,9 @@ int main(int argc, char** argv) {
                 "(%d grow/shrink waves of %d nodes)\n\n",
                 waves, wave_size);
 
-    containers::treiber_stack<domain, std::int64_t> lfrc_stack;
+    containers::stack_core<std::int64_t, smr::counted<domain>> lfrc_stack;
     containers::valois_stack<std::int64_t> valois;
-    containers::reclaim_stack<std::int64_t, smr::leaky<>> leaky;
+    containers::stack_core<std::int64_t, smr::leaky<>> leaky;
 
     byte_meter lfrc_bytes, valois_bytes, leaky_bytes;
 

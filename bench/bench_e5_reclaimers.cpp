@@ -20,12 +20,12 @@
 #include <string>
 
 #include "containers/gc_containers.hpp"
-#include "containers/ms_queue.hpp"
+#include "containers/queue_core.hpp"
+#include "containers/stack_core.hpp"
 #include "gc/heap.hpp"
-#include "containers/reclaim_queue.hpp"
-#include "containers/reclaim_stack.hpp"
-#include "containers/treiber_stack.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
+#include "smr/manual.hpp"
 #include "util/bench_support.hpp"
 #include "util/cli.hpp"
 #include "util/random.hpp"
@@ -34,6 +34,11 @@
 using namespace lfrc;
 
 namespace {
+
+template <typename P>
+using stack_t = containers::stack_core<std::int64_t, P>;
+template <typename P>
+using queue_t = containers::queue_core<std::int64_t, P>;
 
 template <typename Stack>
 double stack_throughput(int threads, double duration) {
@@ -137,48 +142,24 @@ int main(int argc, char** argv) {
     for (int threads = 1; threads <= max_threads; threads *= 2) {
         table.add_row(
             {"treiber-stack", std::to_string(threads),
-             util::table::fmt(stack_throughput<
-                              containers::treiber_stack<domain, std::int64_t>>(
-                 threads, duration)),
-             util::table::fmt(stack_throughput<
-                              containers::treiber_stack<locked_domain, std::int64_t>>(
-                 threads, duration)),
+             util::table::fmt(stack_throughput<stack_t<smr::counted<domain>>>(threads, duration)),
              util::table::fmt(
-                 stack_throughput<containers::reclaim_stack<std::int64_t,
-                                                            smr::ebr<>>>(
-                     threads, duration)),
-             util::table::fmt(
-                 stack_throughput<containers::reclaim_stack<std::int64_t,
-                                                            smr::hp<>>>(
-                     threads, duration)),
-             util::table::fmt(
-                 stack_throughput<containers::reclaim_stack<std::int64_t,
-                                                            smr::leaky<>>>(
-                     threads, duration)),
+                 stack_throughput<stack_t<smr::counted<locked_domain>>>(threads, duration)),
+             util::table::fmt(stack_throughput<stack_t<smr::ebr<>>>(threads, duration)),
+             util::table::fmt(stack_throughput<stack_t<smr::hp<>>>(threads, duration)),
+             util::table::fmt(stack_throughput<stack_t<smr::leaky<>>>(threads, duration)),
              util::table::fmt(gc_stack_throughput(threads, duration))});
         flush_deferred_frees();
     }
     for (int threads = 1; threads <= max_threads; threads *= 2) {
         table.add_row(
             {"ms-queue", std::to_string(threads),
+             util::table::fmt(queue_throughput<queue_t<smr::counted<domain>>>(threads, duration)),
              util::table::fmt(
-                 queue_throughput<containers::ms_queue<domain, std::int64_t>>(threads,
-                                                                              duration)),
-             util::table::fmt(queue_throughput<
-                              containers::ms_queue<locked_domain, std::int64_t>>(
-                 threads, duration)),
-             util::table::fmt(
-                 queue_throughput<containers::reclaim_queue<std::int64_t,
-                                                            smr::ebr<>>>(
-                     threads, duration)),
-             util::table::fmt(
-                 queue_throughput<containers::reclaim_queue<std::int64_t,
-                                                            smr::hp<>>>(
-                     threads, duration)),
-             util::table::fmt(
-                 queue_throughput<containers::reclaim_queue<std::int64_t,
-                                                            smr::leaky<>>>(
-                     threads, duration)),
+                 queue_throughput<queue_t<smr::counted<locked_domain>>>(threads, duration)),
+             util::table::fmt(queue_throughput<queue_t<smr::ebr<>>>(threads, duration)),
+             util::table::fmt(queue_throughput<queue_t<smr::hp<>>>(threads, duration)),
+             util::table::fmt(queue_throughput<queue_t<smr::leaky<>>>(threads, duration)),
              util::table::fmt(gc_queue_throughput(threads, duration))});
         flush_deferred_frees();
     }

@@ -9,9 +9,10 @@
 #include <cstdio>
 
 #include "containers/gc_containers.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/stack_core.hpp"
 #include "gc/heap.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
 
 using dom = lfrc::domain;
 
@@ -46,7 +47,7 @@ int main() {
     }
 
     std::printf(
-        "Applying the six steps (see src/containers/treiber_stack.hpp):\n"
+        "Applying the six steps (see src/containers/stack_core.hpp, src/smr/counted.hpp):\n"
         "  1. rc field          -> node derives dom::object\n"
         "  2. LFRCDestroy       -> node::lfrc_visit_children reports `next`\n"
         "  3. cycle-free check  -> popped nodes form chains; nothing to do\n"
@@ -54,7 +55,7 @@ int main() {
         "  5. replace ptr ops   -> loads/stores/CAS become LFRC ops (Table 1)\n"
         "  6. local pointers    -> local_ptr<> RAII\n\n");
     {
-        lfrc::containers::treiber_stack<dom, int> st;
+        lfrc::containers::stack_core<int, lfrc::smr::counted<dom>> st;
         long long sum = 0;
         for (int i = 1; i <= items; ++i) st.push(i);
         while (auto v = st.pop()) sum += *v;

@@ -15,9 +15,10 @@
 #include <cstdio>
 
 #include "alloc/stats.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/stack_core.hpp"
 #include "containers/valois_stack.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
     const int waves = static_cast<int>(flags.get_u64("waves", 4));
     const int wave_size = static_cast<int>(flags.get_u64("wave_size", 20000));
 
-    lfrc::containers::treiber_stack<dom, std::int64_t> lfrc_stack;
+    lfrc::containers::stack_core<std::int64_t, lfrc::smr::counted<dom>> lfrc_stack;
     lfrc::containers::valois_stack<std::int64_t> valois_stack;
 
     lfrc::flush_deferred_frees();

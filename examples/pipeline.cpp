@@ -14,13 +14,14 @@
 #include <thread>
 #include <vector>
 
-#include "containers/ms_queue.hpp"
+#include "containers/queue_core.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
 
 using dom = lfrc::domain;
-using queue_t = lfrc::containers::ms_queue<dom, std::int64_t>;
+using queue_t = lfrc::containers::queue_core<std::int64_t, lfrc::smr::counted<dom>>;
 
 namespace {
 constexpr std::int64_t poison = -1;

@@ -11,17 +11,14 @@
 //
 // Design (DESIGN.md §15):
 //
-//   size classes   14 payload classes, 48..2048 bytes; each class owns a
+//   size classes   13 payload classes, 48..2048 bytes; each class owns a
 //                  slab_directory (alloc/slab.hpp — one never-unmapped
 //                  region of 1024-block chunks: type-stable). A block is
 //                  exactly its class size, with no header: index <-> address
 //                  is arithmetic on the region, `home` is recorded once per
 //                  chunk, and free-list links live in the region's side
 //                  array. Payloads above 2048 fall through to the system
-//                  heap, routed consistently by size on both ends. The
-//                  72-byte class exists for the kv store's deferred-policy
-//                  entry, the most numerous node in a loaded store, which
-//                  would otherwise carry 8 bytes of class padding.
+//                  heap, routed consistently by size on both ends.
 //   home           the registry slot whose chunk a block was carved from;
 //                  it never changes — every free of this block routes back
 //                  to its home shard, so blocks do not migrate and each
@@ -64,15 +61,11 @@
 //                  checking — recycling never masks a model-level UAF. The
 //                  arena's remote heads are instrumented atomics, so the
 //                  arena's own protocol is schedule-explorable.
-//
-// Environment gate (latched at first use):
-//   LFRC_ARENA=0            bypass — route straight to the system heap
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <optional>
 
@@ -84,13 +77,11 @@ namespace lfrc::alloc {
 
 class arena {
   public:
-    static constexpr std::size_t num_classes = 14;
+    static constexpr std::size_t num_classes = 13;
     /// Block bytes per class, which is also the stride between blocks. Every
-    /// class but 72 is a multiple of 16, so its blocks are 16-aligned; an
-    /// object of 65..72 bytes cannot need more than 8 (its size is not a
-    /// multiple of 16), which is all the 72-byte stride gives.
+    /// class is a multiple of 16, so its blocks are 16-aligned.
     static constexpr std::size_t class_sizes[num_classes] = {
-        48, 64, 72, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048};
+        48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048};
     static constexpr std::size_t max_payload = class_sizes[num_classes - 1];
     static constexpr std::size_t magazine_cap = 64;
 
@@ -107,19 +98,9 @@ class arena {
         return *a;
     }
 
-    /// True unless LFRC_ARENA=0 — one latched read; allocate/deallocate
-    /// must route identically for the whole process lifetime.
-    static bool enabled() noexcept {
-        static const bool on = [] {
-            const char* e = std::getenv("LFRC_ARENA");
-            return !(e != nullptr && e[0] == '0' && e[1] == '\0');
-        }();
-        return on;
-    }
-
     void* allocate(std::size_t sz) {
         const int k = klass_of(sz);
-        if (k < 0 || !enabled()) {
+        if (k < 0) {
             fallback_allocs_.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-stats-counter)
             return ::operator new(sz);
         }
@@ -180,7 +161,7 @@ class arena {
 
     void deallocate(void* p, std::size_t sz) noexcept {
         const int k = klass_of(sz);
-        if (k < 0 || !enabled()) {
+        if (k < 0) {
             ::operator delete(p);
             return;
         }
@@ -218,7 +199,7 @@ class arena {
         std::uint64_t chain_steals = 0;   ///< whole-chain grabs from peers
         std::uint64_t local_frees = 0;    ///< frees into the owner magazine
         std::uint64_t remote_frees = 0;   ///< cross-slot tagged pushes
-        std::uint64_t fallback_allocs = 0;  ///< >2048B or LFRC_ARENA=0 routes
+        std::uint64_t fallback_allocs = 0;  ///< >2048B system-heap routes
     };
 
     stats snapshot() const noexcept {

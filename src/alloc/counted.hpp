@@ -1,12 +1,10 @@
-// Counted allocation helpers: new/delete wrappers that report to
-// alloc::stats. LFRC-managed objects route through these via their base
-// class; tests and comparator structures use them directly so that all
-// footprint numbers are measured with the same instrument.
+// Counted allocation: the counted_base mixin, whose operator new/delete
+// report to alloc::stats. Every LFRC-managed object routes through it, so
+// all footprint numbers are measured with the same instrument.
 #pragma once
 
 #include <cstddef>
 #include <new>
-#include <utility>
 
 #include "alloc/arena.hpp"
 #include "alloc/stats.hpp"
@@ -17,20 +15,6 @@
 
 namespace lfrc::alloc {
 
-template <typename T, typename... Args>
-T* counted_new(Args&&... args) {
-    T* p = new T(std::forward<Args>(args)...);
-    note_alloc(sizeof(T));
-    return p;
-}
-
-template <typename T>
-void counted_delete(T* p) noexcept {
-    if (p == nullptr) return;
-    note_free(sizeof(T));
-    delete p;
-}
-
 /// Mixin: derive to get allocation-counted operator new/delete. This is THE
 /// allocation seam: every LFRC-managed node type (smr::manual node_base,
 /// smr::deferred_node, lfrc::domain object) inherits these, so rewiring
@@ -40,10 +24,10 @@ void counted_delete(T* p) noexcept {
 ///
 /// Outside the simulator, storage comes from the process-wide
 /// alloc::arena — per-registry-slot size-class slabs with O(1) recycled
-/// frees (alloc/arena.hpp; LFRC_ARENA=0 restores the system heap). The
-/// note_alloc/note_free calls stay per-object, so scope_check and the E4
-/// footprint sample keep their logical-object accounting even though the
-/// arena's slabs themselves are untracked.
+/// frees (alloc/arena.hpp). The note_alloc/note_free calls stay
+/// per-object, so scope_check and the E4 footprint sample keep their
+/// logical-object accounting even though the arena's slabs themselves are
+/// untracked.
 ///
 /// Under -DLFRC_SIM this is instead the shadow-heap seam: LFRC-managed
 /// objects come from the sim arena during a schedule, frees are quarantined

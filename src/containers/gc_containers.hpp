@@ -1,8 +1,8 @@
 // GC-dependent Treiber stack and Michael-Scott queue over the toy
 // stop-the-world collector — the §3 "before" forms of the containers whose
-// LFRC "after" forms live in treiber_stack.hpp / ms_queue.hpp. Both are the
-// generic cores instantiated with the smr::gc_heap policy; "assume a GC"
-// is now just a template argument.
+// LFRC "after" forms are stack_core / queue_core over smr::counted. Both are
+// the generic cores instantiated with the smr::gc_heap policy; "assume a
+// GC" is now just a template argument.
 //
 // Note what the GC buys: the classic Treiber ABA (pop's CAS succeeding on a
 // recycled head) cannot happen because a node referenced from any thread's

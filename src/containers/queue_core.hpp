@@ -1,9 +1,19 @@
-// Generic Michael & Scott queue over any lfrc::smr policy.
+// Generic Michael & Scott queue [13] over any lfrc::smr policy.
 //
-// Replaces the former ms_queue (counted domain) and reclaim_queue
-// (ebr/hp/leaky) families. The dummy-node M&S shape is unchanged; the
-// policy supplies protection (head/tail/next reads) and reclamation
-// (dequeued dummies).
+// The original (PODC 1996) is GC-dependent in exactly the sense of the
+// paper: in a garbage-collected environment its tag-free form is correct
+// because nodes cannot be reused while referenced. Under
+// smr::counted<Domain> this is its LFRC-transformed form, with the Table-1
+// pointer operation replacements all inside the policy; under ebr/hp/leaky
+// it is the manual-reclamation comparator. The dummy-node M&S shape is
+// unchanged; the policy supplies protection (head/tail/next reads) and
+// reclamation (dequeued dummies).
+//
+// Cycle-free garbage: a dequeued node's `next` keeps pointing forward (to a
+// newer node), so garbage forms forward chains, never cycles — a slow
+// thread holding an old head pins the chain up to the current head until it
+// releases, after which everything collapses. §2.1's criterion holds
+// naturally.
 #pragma once
 
 #include <concepts>

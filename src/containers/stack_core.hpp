@@ -1,9 +1,17 @@
 // Generic Treiber stack over any lfrc::smr policy.
 //
-// One traversal/CAS body serves all six reclamation schemes; the policy
-// decides what "safe to dereference" and "safe to free" mean. This replaces
-// the former treiber_stack (counted domain) and reclaim_stack (ebr/hp/leaky)
-// families, which duplicated the same push/pop loops per scheme.
+// One traversal/CAS body serves every reclamation scheme; the policy
+// decides what "safe to dereference" and "safe to free" mean. Under
+// smr::counted<Domain> it is the paper's LFRC-transformed Treiber stack,
+// one of §2.1's "other candidate implementations in the pipeline": the §3
+// step-5 rewrite happens inside the policy, not here. Under ebr/hp/leaky it
+// is the GC-dependent shape, with memory reuse delegated to the policy
+// (E5 benchmarks the two against each other).
+//
+// Cycle-free garbage criterion: popped nodes form chains (a popped node may
+// still reference a live or popped successor until destroyed) but never
+// cycles, so the criterion holds with no modification — the "natural
+// implementation" case of §2.1.
 #pragma once
 
 #include <cstddef>

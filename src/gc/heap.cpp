@@ -19,6 +19,9 @@ void marker::mark(const void* payload) {
 }
 
 void marker::mark_cell(const dcas::cell& c) {
+    // A raw read, and sound: gc_heap runs on locked_engine, which has no
+    // helpers to leave a descriptor in a cell, and marking runs at a
+    // stop-the-world safepoint, so no mutator is mid-operation on c.
     const std::uint64_t v = c.raw().load(std::memory_order_relaxed);
     assert(dcas::is_clean_value(v) &&
            "GC-traced cells must use the locked engine (see gc/heap.hpp)");

@@ -95,8 +95,7 @@ class basic_domain {
 
         /// Diagnostic read of the current reference count (racy by nature).
         std::uint64_t ref_count() const noexcept {
-            return dcas::decode_count(
-                const_cast<dcas::cell&>(rc_).raw().load(std::memory_order_acquire));
+            return dcas::decode_count(Engine::read(const_cast<dcas::cell&>(rc_)));
         }
 
       protected:
@@ -320,18 +319,8 @@ class basic_domain {
         /// count already reached zero (it is being torn down; the caller
         /// must re-read the shared pointer and retry).
         local_ptr<T> promote() const {
-            if (p_ == nullptr) return {};
-            assert(pinned_ && "promote on a moved-from/reset borrow");
-            dcas::cell& rc = static_cast<object*>(p_)->rc_;
-            for (;;) {
-                const std::uint64_t raw = Engine::read(rc);
-                const std::uint64_t count = dcas::decode_count(raw);
-                if (count == 0) return {};  // dead; zero is absorbing
-                if (Engine::cas(rc, raw, dcas::encode_count(count + 1))) {
-                    counters().add_increments(1);
-                    return local_ptr<T>::adopt(p_);
-                }
-            }
+            assert((p_ == nullptr || pinned_) && "promote on a moved-from/reset borrow");
+            return try_promote(p_);
         }
 
         T* get() const noexcept { return p_; }

@@ -30,30 +30,12 @@ using locked_domain = basic_domain<dcas::locked_engine>;
 /// free ran; nonzero means something still pins an epoch and the caller
 /// should not assume the heap is quiesced.
 ///
-/// The loop is bounded two ways, so a drain can never spin forever on a
-/// pathological pending list: `rounds` caps total iterations, and a
-/// stall detector exits early once several consecutive rounds free nothing.
-/// With nothing pinned, a round's try_advance always moves the epoch, so a
-/// healthy drain shows progress within the grace period (3 epochs) — a
-/// stall longer than that means a pin is held and more rounds cannot help;
-/// each futile round would cost an O(pending) walk.
+/// The loop is reclaim::epoch_domain::drain, bounded two ways so a drain
+/// can never spin forever: `rounds` caps the work at rounds × 4,096
+/// reclaim passes, and a stall detector exits once a few consecutive
+/// passes free nothing — a pin is held and more passes cannot help.
 inline std::uint64_t flush_deferred_frees(int rounds = 16) {
-    auto& domain_ref = reclaim::epoch_domain::global();
-    std::uint64_t prev = ~std::uint64_t{0};
-    int stalled_rounds = 0;
-    for (int i = 0; i < rounds; ++i) {
-        const std::uint64_t p = domain_ref.pending();
-        if (p == 0) break;
-        if (p >= prev) {
-            if (++stalled_rounds > 4) break;  // > grace period with no progress
-        } else {
-            stalled_rounds = 0;
-        }
-        prev = p;
-        domain_ref.try_advance();
-        domain_ref.drain_all();
-    }
-    return domain_ref.pending();
+    return reclaim::epoch_domain::global().drain(rounds);
 }
 
 }  // namespace lfrc

@@ -55,9 +55,7 @@ std::uint64_t epoch_domain::pending() const noexcept {
     for (std::size_t s = 0; s < high; ++s) {
         total += slots_[s]->pending_delta.load(std::memory_order_acquire);  // lfrc-lint: order(epoch-pending-counter)
     }
-    std::uint64_t sum = total > 0 ? static_cast<std::uint64_t>(total) : 0;
-    if (auto* f = aux_pending_.load(std::memory_order_acquire)) sum += f();  // lfrc-lint: order(aux-hook-install)
-    return sum;
+    return total > 0 ? static_cast<std::uint64_t>(total) : 0;
 }
 
 bool epoch_domain::quiescent() const noexcept {
@@ -68,14 +66,9 @@ bool epoch_domain::quiescent() const noexcept {
     return true;
 }
 
-void epoch_domain::register_aux(std::uint64_t (*pending_fn)() noexcept, void (*drain_fn)() noexcept,
-                                void (*clear_slot_fn)(std::size_t) noexcept) noexcept {
-    // One layered scheme only: a second registration would silently
-    // disconnect the first scheme's backlog from pending()/drain_all().
-    assert(aux_pending_.load(std::memory_order_relaxed) == nullptr &&  // lfrc-lint: order(aux-hook-install)
-           "register_aux: an aux reclaimer is already registered");
-    aux_pending_.store(pending_fn, std::memory_order_release);  // lfrc-lint: order(aux-hook-install)
-    aux_drain_.store(drain_fn, std::memory_order_release);  // lfrc-lint: order(aux-hook-install)
+void epoch_domain::register_aux(void (*clear_slot_fn)(std::size_t) noexcept) noexcept {
+    assert(aux_clear_slot_.load(std::memory_order_relaxed) == nullptr &&  // lfrc-lint: order(aux-hook-install)
+           "register_aux: an aux hook is already registered");
     aux_clear_slot_.store(clear_slot_fn, std::memory_order_release);  // lfrc-lint: order(aux-hook-install)
 }
 
@@ -120,7 +113,7 @@ void epoch_domain::retire(void* object, void (*deleter)(void*)) {
     push_retired(slot, node);
     slot_record& rec = *slots_[slot];
     rec.pending_delta.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(epoch-pending-counter)
-    if (++rec.retires_since_scan >= scan_threshold) {
+    if (++rec.retires_since_scan >= scan_threshold && !rec.reclaiming) {
         rec.retires_since_scan = 0;
         reclaim_some(slot, /*force=*/false);
     }
@@ -156,41 +149,48 @@ bool epoch_domain::try_advance() noexcept {
                                                   std::memory_order_seq_cst);
 }
 
-auto epoch_domain::free_eligible(retired_node* head, std::uint64_t eligible_before)
-    -> retired_node* {
+auto epoch_domain::free_eligible(retired_node* head, std::uint64_t eligible_before,
+                                 std::size_t& freed) -> retired_node* {
+    // Deleters run on this thread; any retire they make lands on our own
+    // slot, behind the latch.
+    slot_record& self = *slots_[util::thread_registry::instance().slot()];
+    self.reclaiming = true;
     retired_node* survivors = nullptr;
     while (head != nullptr) {
         retired_node* next = head->next;
         if (head->epoch < eligible_before) {
             head->deleter(head->object);
             release_node(head);
-            slots_[util::thread_registry::instance().slot()]->pending_delta.fetch_sub(
-                1, std::memory_order_relaxed);  // lfrc-lint: order(epoch-pending-counter)
+            self.pending_delta.fetch_sub(1, std::memory_order_relaxed);  // lfrc-lint: order(epoch-pending-counter)
+            ++freed;
         } else {
             head->next = survivors;
             survivors = head;
         }
         head = next;
     }
+    self.reclaiming = false;
     return survivors;
 }
 
-void epoch_domain::reclaim_some(std::size_t slot, bool force) {
+std::size_t epoch_domain::reclaim_some(std::size_t slot, bool force) {
     try_advance();
     const std::uint64_t g = global_epoch();
-    if (g < grace_epochs) return;
+    if (g < grace_epochs) return 0;
     slot_record& rec = *slots_[slot];
     if (!force && rec.last_scan_epoch.load(std::memory_order_relaxed) == g) {  // lfrc-lint: order(unpaired-owner-scan-cache)
-        return;  // nothing new can be eligible; avoid an O(pending) no-op walk
+        return 0;  // nothing new can be eligible; avoid an O(pending) no-op walk
     }
     rec.last_scan_epoch.store(g, std::memory_order_relaxed);  // lfrc-lint: order(unpaired-owner-scan-cache)
     retired_node* stolen = rec.retired.exchange(nullptr, std::memory_order_acq_rel);  // lfrc-lint: order(epoch-retired-list)
-    retired_node* survivors = free_eligible(stolen, g - grace_epochs + 1);
+    std::size_t freed = 0;
+    retired_node* survivors = free_eligible(stolen, g - grace_epochs + 1, freed);
     // Re-home survivors (as one chain, one CAS) onto our own slot — we
     // might be draining another thread's leftovers via drain_all.
     if (survivors != nullptr) {
         push_retired_chain(util::thread_registry::instance().slot(), survivors);
     }
+    return freed;
 }
 
 void epoch_domain::clear_slot(std::size_t s) noexcept {
@@ -206,6 +206,7 @@ void epoch_domain::clear_slot(std::size_t s) noexcept {
     if (auto* f = slot_reset_.load(std::memory_order_acquire)) f(s);  // lfrc-lint: order(aux-hook-install)
     slot_record& rec = *slots_[s];
     rec.depth = 0;
+    rec.reclaiming = false;
     rec.state.store(0, std::memory_order_release);  // lfrc-lint: order(slot-unpin)
 }
 
@@ -213,11 +214,22 @@ void epoch_domain::clear_slots(const std::size_t* slots, std::size_t n) noexcept
     for (std::size_t i = 0; i < n; ++i) clear_slot(slots[i]);
 }
 
-void epoch_domain::drain_all() {
-    try_advance();
+std::size_t epoch_domain::drain_all() {
+    std::size_t freed = 0;
     const std::size_t high = util::thread_registry::instance().high_water();
-    for (std::size_t s = 0; s < high; ++s) reclaim_some(s, /*force=*/true);
-    if (auto* f = aux_drain_.load(std::memory_order_acquire)) f();  // lfrc-lint: order(aux-hook-install)
+    for (std::size_t s = 0; s < high; ++s) freed += reclaim_some(s, /*force=*/true);
+    return freed;
+}
+
+std::uint64_t epoch_domain::drain(int rounds) {
+    const std::uint64_t passes =
+        rounds > 0 ? static_cast<std::uint64_t>(rounds) * cascade_passes : 0;
+    std::uint64_t idle = 0;
+    for (std::uint64_t i = 0; i < passes && pending() != 0; ++i) {
+        idle = drain_all() != 0 ? 0 : idle + 1;
+        if (idle > grace_epochs) break;
+    }
+    return pending();
 }
 
 }  // namespace lfrc::reclaim

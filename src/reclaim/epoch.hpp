@@ -4,13 +4,16 @@
 //  1. A comparator reclamation scheme for the GC-dependent container
 //     baselines (smr::ebr, experiment E5) — retire-on-unlink, free after a
 //     grace period.
-//  2. The grace period behind the other epoch-pinned paths: the LFRC
-//     domain defers each object's physical free through it (a DCAS helper
-//     may still touch the cells of an object whose count just reached
-//     zero), borrowed and deferred guards pin it for their reads, and
-//     smr::deferred's review queue frees only after it. The DCAS engine's
-//     descriptors are permanent per-thread storage and never pass through
-//     here.
+//  2. The grace period, and the one retire queue, behind the other
+//     epoch-pinned paths: the LFRC domain defers each object's physical
+//     free through it (a DCAS helper may still touch the cells of an
+//     object whose count just reached zero), borrowed and deferred guards
+//     pin it for their reads, and smr::deferred retires each node whose
+//     count reaches zero into it, with the per-node review as the deleter.
+//     A review may free a node whose released children reach zero in
+//     turn, so a deleter may retire; drain() chases such cascades. The
+//     DCAS engine's descriptors are permanent per-thread storage and never
+//     pass through here.
 //
 // Protocol (classic three-epoch scheme):
 //  * A thread entering a critical section announces the current global
@@ -26,7 +29,7 @@
 // Retired objects go on per-slot lock-free Treiber stacks. Any thread may
 // *steal* a slot's whole stack with an atomic exchange, free the eligible
 // entries, and push the remainder onto its own stack — so nodes retired by
-// exited threads are eventually drained, and `drain_all()` lets quiescent
+// exited threads are eventually drained, and `drain()` lets quiescent
 // tests flush everything.
 //
 // Progress note (matches DESIGN.md §2): all operations here are lock-free,
@@ -79,10 +82,28 @@ class epoch_domain {
     /// Attempt one epoch advance; returns true if the epoch moved.
     bool try_advance() noexcept;
 
-    /// Drain every slot's retire stack as far as grace periods allow.
-    /// Safe concurrently; tests call it after joining worker threads
-    /// (repeatedly, interleaved with try_advance) to reach zero.
-    void drain_all();
+    /// One reclaim pass: drain every slot's retire stack as far as grace
+    /// periods allow. Safe concurrently. Returns the number of records whose
+    /// deleter ran (a deleter may retire again, so this is not the fall in
+    /// pending()).
+    std::size_t drain_all();
+
+    /// Drive the retired records to their frees: the one drain loop behind
+    /// lfrc::flush_deferred_frees and every smr policy's drain(). Call at
+    /// quiescence (tests, teardown, footprint sampling); concurrent use is
+    /// safe but may not reach zero while other threads pin epochs. Returns
+    /// the residual pending count: 0 means every retired record was freed.
+    ///
+    /// Bounded two ways. `rounds` caps the work at rounds × cascade_passes
+    /// passes: a freed record's deleter may retire its children
+    /// (smr::deferred), which free grace_epochs later, so a chain of N
+    /// levels needs a few passes per level while pending() stays level.
+    /// And the loop gives up once grace_epochs + 1 passes in a row ran no
+    /// deleter: at quiescence each pass moves the epoch, so a record waits
+    /// fewer passes than that, and a longer wait means a pin is holding the
+    /// epoch (or another thread holds the record) and more passes cannot
+    /// help.
+    std::uint64_t drain(int rounds);
 
     /// Forcibly un-pin a slot: reset nesting depth and announced state.
     /// For virtual-thread harnesses (src/sim) that abandon a fiber mid
@@ -106,24 +127,19 @@ class epoch_domain {
     /// pin (teardown, joined-worker drains); it is advisory, not a fence.
     bool quiescent() const noexcept;
 
-    /// Auxiliary reclaimer hooks. A scheme layered on this domain's epochs
-    /// (smr::deferred's review queue) registers itself once so that
-    /// pending() reflects its backlog, drain_all() drives its processing,
-    /// and clear_slot() flushes its per-slot state for abandoned fibers —
-    /// every existing drain/teardown loop then covers it with no caller
-    /// changes. Hooks must be callable from any thread. Exactly one layered
-    /// scheme is supported: registering a second asserts rather than
-    /// silently replacing the first.
-    void register_aux(std::uint64_t (*pending_fn)() noexcept, void (*drain_fn)() noexcept,
-                      void (*clear_slot_fn)(std::size_t) noexcept) noexcept;
+    /// Auxiliary per-slot state hook: invoked by clear_slot(s), while the
+    /// slot still counts as pinned, so a scheme layered on this domain's
+    /// epochs (smr::deferred's delta tables) can flush an abandoned slot's
+    /// state. Must be callable from any thread. One registrant; a second
+    /// registration asserts rather than silently replacing the first.
+    void register_aux(void (*clear_slot_fn)(std::size_t) noexcept) noexcept;
 
     /// Engine-local per-slot state hook: invoked by clear_slot(s) so a DCAS
     /// engine with permanent per-slot descriptors (dcas::mcas_engine) can
     /// invalidate the abandoned slot's descriptors — bump their sequences so
     /// stale helpers cannot complete them. Deliberately separate from
-    /// register_aux, which is the layered-*reclaimer* seam (pending/drain
-    /// accounting) and is already taken by smr::deferred. One registrant;
-    /// a second registration asserts.
+    /// register_aux, which is already taken by smr::deferred. One
+    /// registrant; a second registration asserts.
     void register_slot_reset(void (*fn)(std::size_t) noexcept) noexcept;
 
     std::uint64_t global_epoch() const noexcept {
@@ -155,6 +171,10 @@ class epoch_domain {
         std::atomic<retired_node*> retired{nullptr};
         // Owner-only counter driving periodic reclamation.
         std::uint64_t retires_since_scan = 0;
+        // Owner-only latch, set while this slot's thread runs deleters: a
+        // retire from inside a deleter (a deferred review releasing its
+        // children) must not start a nested scan.
+        bool reclaiming = false;
         // Epoch at the last reclamation attempt (advisory; races with
         // drain_all are harmless). If the global epoch has not moved since,
         // nothing new can be eligible and the scan is skipped — without
@@ -172,20 +192,21 @@ class epoch_domain {
 
     static constexpr std::uint64_t grace_epochs = 3;
     static constexpr std::uint64_t scan_threshold = 64;
+    static constexpr std::uint64_t cascade_passes = 4096;  // drain() passes per round
 
     void push_retired(std::size_t slot, retired_node* node) noexcept;
     void push_retired_chain(std::size_t slot, retired_node* chain_head) noexcept;
-    void reclaim_some(std::size_t slot, bool force);
-    /// Frees eligible entries of a stolen list; returns the survivors.
-    retired_node* free_eligible(retired_node* head, std::uint64_t eligible_before);
+    std::size_t reclaim_some(std::size_t slot, bool force);
+    /// Frees eligible entries of a stolen list; returns the survivors and
+    /// adds the number freed to `freed`.
+    retired_node* free_eligible(retired_node* head, std::uint64_t eligible_before,
+                                std::size_t& freed);
     retired_node* acquire_node();
     void release_node(retired_node* node) noexcept;
 
     util::padded<sim::instrumented_atomic<std::uint64_t>> global_epoch_{std::uint64_t{1}};
-    // Aux reclaimer hooks (register_aux). Null until a layered scheme
-    // registers; checked with an acquire load on the paths they touch.
-    std::atomic<std::uint64_t (*)() noexcept> aux_pending_{nullptr};
-    std::atomic<void (*)() noexcept> aux_drain_{nullptr};
+    // Aux per-slot hook (register_aux). Null until a layered scheme
+    // registers; checked with an acquire load in clear_slot.
     std::atomic<void (*)(std::size_t) noexcept> aux_clear_slot_{nullptr};
     // Engine per-slot reset hook (register_slot_reset).
     std::atomic<void (*)(std::size_t) noexcept> slot_reset_{nullptr};

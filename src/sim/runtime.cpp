@@ -291,11 +291,7 @@ schedule_outcome run_one_schedule(std::uint64_t schedule_seed, const options& op
         fail_here("pinned-at-teardown",
                   "a slot is still pinned after every fiber was cleared");
     }
-    for (int round = 0; round < 16 && dom.pending() != 0; ++round) {
-        dom.try_advance();
-        dom.drain_all();
-    }
-    if (!r.failed && dom.pending() != 0) {
+    if (dom.drain(16) != 0 && !r.failed) {
         fail_here("residual-pending",
                   "epoch domain will not drain with every thread quiescent");
     }

@@ -223,7 +223,7 @@ class counted {
     }
 
     std::uint64_t pending() const noexcept { return reclaim::epoch_domain::global().pending(); }
-    std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
+    std::uint64_t drain(int rounds) { return reclaim::epoch_domain::global().drain(rounds); }
 };
 
 #ifdef LFRC_ENABLE_MUTATIONS

@@ -1,5 +1,5 @@
 // smr::deferred — thread-local deferred reference counting (the ABW /
-// libsref construction: per-thread delta caches + a review queue).
+// libsref construction: per-thread delta caches over a manual reclaimer).
 //
 // E6/E9 show exactly where the paper's counted operations lose to the
 // manual schemes: every LFRCLoad is a CAS on a *shared* count word, so a
@@ -18,28 +18,35 @@
 //     outermost guard exits (and deltas for the same node cancel in place:
 //     a push's birth -1 and link +1 never touch the shared line).
 //   * A node whose authoritative count reaches zero is not freed: it is
-//     stamped with the current epoch and pushed on a review queue. The
-//     reviewer frees it only after (a) re-checking the count is still zero
-//     and (b) a grace period has elapsed since the stamp — closing the race
-//     where an unflushed table delta or a pinned reader still covers the
-//     node. Children released by a free go back through the same machinery,
-//     so deep chains unravel iteratively, never recursively.
+//     stamped with the current epoch and retired into the epoch domain
+//     with review() as its deleter (Anderson, Blelloch & Wei: a zero-count
+//     object is retired into the manual scheme underneath). The review
+//     frees it only after (a) re-checking the count is still zero and (b)
+//     a grace period has elapsed since the stamp — closing the race where
+//     an unflushed table delta or a pinned reader still covers the node.
+//     Children released by a free go back through the same machinery, so
+//     deep chains unravel iteratively across drain passes, never
+//     recursively.
 //
 // Safety argument (DESIGN.md §12 gives the full version):
 //   invariant  authoritative(n) + Σ unflushed table deltas(n)
 //              = #links to n + #live owner (birth) refs, and every thread
 //              holding an unflushed delta is pinned.
 //   stamping   every negative apply stamps the node with global+1 BEFORE
-//              the subtraction (monotonic max), so the stamp the reviewer
+//              the subtraction (monotonic max), so the stamp the review
 //              reads after observing count==0 is at least as fresh as the
-//              crossing it observed (reviewer read order: epoch, then
-//              count, then stamp).
-//   freeing    requires count==0 ∧ global ≥ stamp+2. Any thread pinned at
-//              free time has announce ≥ global-1 ≥ stamp+1, i.e. pinned
-//              only *after* the zero-crossing; it can have obtained a
-//              reference to n only through a link whose +1 would be visible
-//              in the authoritative count (reviewer re-reads it) or held by
-//              a thread pinned since before the crossing — whose announce
+//              crossing it observed (review read order: epoch, then count,
+//              then stamp).
+//   freeing    requires count==0 ∧ global ≥ stamp+2. The domain runs the
+//              review at global ≥ r+3, and r is read after the stamp, so
+//              the crossing that retired the node already satisfies it;
+//              the re-check catches a crossing that came back while the
+//              node was queued. Any thread pinned at free time has
+//              announce ≥ global-1 ≥ stamp+1, i.e. pinned only *after*
+//              the zero-crossing; it can have obtained a reference to n
+//              only through a link whose +1 would be visible in the
+//              authoritative count (the review re-reads it) or held by a
+//              thread pinned since before the crossing — whose announce
 //              bounds global below stamp+2, contradicting the free
 //              condition.
 //
@@ -70,9 +77,10 @@ namespace lfrc::smr {
 
 namespace deferred_detail {
 
-// rc_ layout: bit 63 is the review-queue claim (QUEUED), bits 0..62 the
-// authoritative count. Counts never underflow (asserted), so two's-
-// complement adds of negative deltas cannot borrow into the claim bit.
+// rc_ layout: bit 63 is the retire claim (QUEUED: the node has a record
+// in the epoch domain), bits 0..62 the authoritative count. Counts never
+// underflow (asserted), so two's-complement adds of negative deltas cannot
+// borrow into the claim bit.
 inline constexpr std::uint64_t queued_bit = std::uint64_t{1} << 63;
 inline constexpr std::uint64_t count_mask = queued_bit - 1;
 
@@ -84,25 +92,21 @@ struct deferred_node : alloc::counted_base {
     sim::instrumented_atomic<std::uint64_t> rc_{std::uint64_t{1}};
     // Epoch stamp of the last observed zero-crossing (monotonic max).
     sim::instrumented_atomic<std::uint64_t> review_stamp_{0};
-    // Review-queue Treiber link; owned by whoever holds the QUEUED claim.
-    std::atomic<deferred_node*> review_next_{nullptr};
 
     deferred_node() noexcept = default;
     virtual ~deferred_node() = default;
     /// Release every child reference (smr_children enumeration). Called by
-    /// the reviewer exactly once, just before delete.
+    /// the review exactly once, just before delete.
     virtual void smr_release_children_() noexcept = 0;
 };
 
-/// Process-wide runtime: the per-thread delta tables, the review queue, and
-/// the reviewer. Leaked singleton (like the epoch domain) registered as the
-/// epoch domain's aux reclaimer, so every existing pending()/drain_all()/
-/// clear_slot() path covers the review backlog with no caller changes.
+/// Process-wide runtime: the per-thread delta tables and the review.
+/// Leaked singleton (like the epoch domain) registered as the epoch
+/// domain's aux hook, so clear_slot() flushes an abandoned slot's table.
 class runtime {
   public:
     static constexpr std::size_t table_size = 64;   // power of two
     static constexpr std::size_t probe_limit = 8;
-    static constexpr std::uint64_t review_threshold = 64;
 
     struct entry {
         deferred_node* node = nullptr;
@@ -116,27 +120,7 @@ class runtime {
         entry entries[table_size];
         std::uint16_t dirty[table_size] = {};
         std::uint32_t ndirty = 0;
-        std::size_t self = 0;          // this cache's registry slot (set by cache())
-        std::uint64_t depth = 0;       // guard nesting
-        std::uint64_t detections = 0;  // zero-crossings since last review
-        // Epoch at this thread's last review. Nothing stamped since then
-        // can be eligible until the global epoch moves again, so reviews
-        // are gated on epoch advancement — without this, every 64th guard
-        // exit walks the whole grace-blocked queue and churn goes
-        // quadratic (the exact trap epoch.cpp's last_scan_epoch avoids).
-        std::uint64_t last_review_epoch = 0;
-        bool reviewing = false;        // re-entrancy latch
-    };
-
-    /// Per-slot review-queue shard (ebr's per-slot retired stacks, for the
-    /// same reasons: detections push to the detecting thread's own head, so
-    /// the queue is not one process-wide contended cache line, and a
-    /// steady-state review walks only the reviewer's shard). `count` is a
-    /// signed delta — a node may be freed by a different slot than the one
-    /// that pushed it; the SUM across shards is the true backlog.
-    struct review_shard {
-        std::atomic<deferred_node*> head{nullptr};
-        std::atomic<std::int64_t> count{0};
+        std::uint64_t depth = 0;  // guard nesting
     };
 
     static runtime& instance() {
@@ -146,12 +130,7 @@ class runtime {
         return *r;
     }
 
-    slot_cache& cache() {
-        const std::size_t s = util::thread_registry::instance().slot();
-        slot_cache& c = *caches_[s];
-        c.self = s;
-        return c;
-    }
+    slot_cache& cache() { return *caches_[util::thread_registry::instance().slot()]; }
 
     /// Count adjustments. Recorded in the delta table while pinned (guard
     /// depth > 0); applied to the authoritative count directly otherwise.
@@ -162,160 +141,70 @@ class runtime {
         if (n != nullptr) adjust(n, -1);
     }
 
-    /// Outermost-guard exit: flush this thread's deltas (still pinned —
-    /// the policy guard's destructor body runs before its epoch pin member
-    /// is destroyed), then maybe run a bounded review pass.
-    void guard_closed(slot_cache& c) {
-        flush(c);
-        if (c.detections < review_threshold || c.reviewing) return;
-        auto& dom = reclaim::epoch_domain::global();
-        std::uint64_t g = dom.global_epoch();
-        if (g == c.last_review_epoch) {
-            dom.try_advance();
-            g = dom.global_epoch();
-            if (g == c.last_review_epoch) {
-                // Stuck (a peer is parked in a guard): nothing stamped
-                // since the last review can be eligible. Back the counter
-                // off halfway so the retry happens every ~threshold/2
-                // detections, not on every guard exit.
-                c.detections = review_threshold / 2;
-                return;
-            }
+    /// Outermost-guard exit: apply this thread's deltas. The caller is
+    /// still pinned — the policy guard's destructor body runs before its
+    /// epoch pin member is destroyed.
+    void flush(slot_cache& c) {
+        for (std::uint32_t i = 0; i < c.ndirty; ++i) {
+            entry& e = c.entries[c.dirty[i]];
+            if (e.delta != 0) apply(e.node, e.delta);
+            e.node = nullptr;
+            e.delta = 0;
         }
-        c.last_review_epoch = g;
-        c.detections = 0;
-        // One pass: frees everything currently eligible in our shard.
-        // Children released by those frees re-enter the queue and ride the
-        // next epoch's review (cascades here are shallow — entry → box);
-        // multi-pass cascade chasing is the drain path's job.
-        process_review(/*max_passes=*/1, /*all_shards=*/false);
-    }
-
-    /// Review-queue backlog (nodes at count zero awaiting their grace
-    /// period). The epoch domain adds this into pending().
-    std::uint64_t review_pending() const noexcept {
-        std::int64_t total = 0;
-        const std::size_t high = util::thread_registry::instance().high_water();
-        for (std::size_t s = 0; s < high; ++s) {
-            total += shards_[s]->count.load(std::memory_order_acquire);  // lfrc-lint: order(deferred-shard-counter)
-        }
-        return total > 0 ? static_cast<std::uint64_t>(total) : 0;
-    }
-
-    /// Drive the review queue. Each pass tries one epoch advance, steals
-    /// this thread's shard (every shard on the drain path), frees every
-    /// node whose zero-crossing is two epochs old, and re-queues survivors
-    /// on the caller's shard. Children released by a free are re-queued and
-    /// picked up by a later pass (iterative cascade). Stops when a pass
-    /// neither frees nor advances — at quiescence try_advance always
-    /// succeeds, so a teardown drain empties arbitrary chains.
-    void process_review(int max_passes, bool all_shards) noexcept {
-        auto& dom = reclaim::epoch_domain::global();
-        slot_cache& c = cache();
-        if (c.reviewing) return;
-        c.reviewing = true;
-        review_shard& home = *shards_[c.self];
-        const int cap = max_passes > 0 ? max_passes : 4096;
-        for (int pass = 0; pass < cap; ++pass) {
-            const bool advanced = dom.try_advance();
-            // Read order matters (header comment): epoch BEFORE count and
-            // stamp, count BEFORE stamp. An older epoch only under-frees.
-            const std::uint64_t g = dom.global_epoch();
-            std::size_t freed = 0;
-            bool stole_any = false;
-            deferred_node* keep_head = nullptr;
-            deferred_node* keep_tail = nullptr;
-            const auto keep = [&](deferred_node* k) {
-                k->review_next_.store(keep_head, std::memory_order_relaxed);  // lfrc-lint: order(review-link)
-                keep_head = k;
-                if (keep_tail == nullptr) keep_tail = k;
-            };
-            const std::size_t lo = all_shards ? 0 : c.self;
-            const std::size_t hi =
-                all_shards ? util::thread_registry::instance().high_water() : c.self + 1;
-            for (std::size_t s = lo; s < hi; ++s) {
-                deferred_node* n =
-                    shards_[s]->head.exchange(nullptr, std::memory_order_acq_rel);  // lfrc-lint: order(review-queue-head)
-                if (n != nullptr) stole_any = true;
-                while (n != nullptr) {
-                    deferred_node* next = n->review_next_.load(std::memory_order_relaxed);  // lfrc-lint: order(review-link)
-                    const std::uint64_t rc = n->rc_.load(std::memory_order_seq_cst);
-                    if ((rc & count_mask) != 0) {
-                        // Resurrected by a flushed increment: hand zero
-                        // detection back to the decrementers by releasing
-                        // the claim — but only through a CAS that requires
-                        // count > 0. The moment the claim is released, a
-                        // concurrent final release may re-queue n and a
-                        // second reviewer may free it, so n must never be
-                        // touched after a successful release. On CAS
-                        // failure the claim is still ours (nobody else
-                        // clears the bit) and re-examining n is safe.
-                        std::uint64_t cur = rc;
-                        bool released = false;
-                        while ((cur & count_mask) != 0) {
-                            if (n->rc_.compare_exchange_weak(cur, cur & ~queued_bit,
-                                                             std::memory_order_seq_cst)) {
-                                released = true;
-                                break;
-                            }
-                        }
-                        if (released) {
-                            // Someone holds a real reference; its release
-                            // will re-detect zero. The node leaves the queue.
-                            home.count.fetch_sub(1, std::memory_order_relaxed);  // lfrc-lint: order(deferred-shard-counter)
-                        } else {
-                            // The count dropped back to zero while WE still
-                            // held the claim, so the crossing decrementer
-                            // skipped the push: re-stamp and re-queue.
-                            stamp(n);
-                            keep(n);
-                        }
-                    } else {
-                        const std::uint64_t st =
-                            n->review_stamp_.load(std::memory_order_seq_cst);
-                        if (g >= st + 2) {
-                            n->smr_release_children_();
-                            delete n;  // lfrc-lint: arena-route
-                            home.count.fetch_sub(1, std::memory_order_relaxed);  // lfrc-lint: order(deferred-shard-counter)
-                            ++freed;
-                        } else {
-                            keep(n);
-                        }
-                    }
-                    n = next;
-                }
-            }
-            // Re-homing survivors moves nodes between shards but not their
-            // count: the per-shard counts are signed deltas whose sum is
-            // the backlog (exactly epoch.cpp's pending_delta convention).
-            if (keep_head != nullptr) push_review_chain(home, keep_head, keep_tail);
-            if (!stole_any) break;
-            if (freed == 0 && !advanced) break;
-        }
-        c.reviewing = false;
-    }
-
-    /// Aux clear_slot hook body: flush an abandoned/joined slot's table and
-    /// reset its guard state — the abandoned fiber's guards never exit, and
-    /// the slot's next tenant must start unnested.
-    void flush_slot(std::size_t s) noexcept {
-        slot_cache& c = *caches_[s];
-        flush(c);
-        c.depth = 0;
-        c.detections = 0;
-        c.reviewing = false;
+        c.ndirty = 0;
     }
 
   private:
-    runtime() {
-        reclaim::epoch_domain::global().register_aux(&aux_pending, &aux_drain, &aux_clear);
+    runtime() { reclaim::epoch_domain::global().register_aux(&aux_clear); }
+
+    /// Aux clear_slot hook: flush an abandoned/joined slot's table and
+    /// reset its guard depth — the abandoned fiber's guards never exit, and
+    /// the slot's next tenant must start unnested.
+    static void aux_clear(std::size_t s) noexcept {
+        slot_cache& c = *instance().caches_[s];
+        instance().flush(c);
+        c.depth = 0;
     }
 
-    static std::uint64_t aux_pending() noexcept { return instance().review_pending(); }
-    static void aux_drain() noexcept {
-        instance().process_review(/*max_passes=*/0, /*all_shards=*/true);
+    /// The epoch deleter of a claimed node. The domain runs it at
+    /// global ≥ r + 3 for the record retired at r (DESIGN.md §12).
+    static void review(void* p) noexcept {
+        auto* n = static_cast<deferred_node*>(p);
+        auto& dom = reclaim::epoch_domain::global();
+        // Read order matters (header comment): epoch BEFORE count and
+        // stamp, count BEFORE stamp. An older epoch only under-frees.
+        const std::uint64_t g = dom.global_epoch();
+        std::uint64_t rc = n->rc_.load(std::memory_order_seq_cst);
+        if ((rc & count_mask) != 0) {
+            // Resurrected by a flushed increment: hand zero detection back
+            // to the decrementers by releasing the claim — but only through
+            // a CAS that requires count > 0. The moment the claim is
+            // released, a concurrent final release may retire n again and
+            // another thread's drain may free it, so n must never be
+            // touched after a successful release. On CAS failure the claim
+            // is still ours (nobody else clears the bit).
+            while ((rc & count_mask) != 0) {
+                if (n->rc_.compare_exchange_weak(rc, rc & ~queued_bit,
+                                                 std::memory_order_seq_cst)) {
+                    return;
+                }
+            }
+            // The count dropped back to zero while we still held the claim,
+            // so the crossing decrementer skipped the retire: re-stamp.
+            stamp(n);
+        } else if (g >= n->review_stamp_.load(std::memory_order_seq_cst) + 2) {
+            // smr_release_children_ reads n's cells raw (cell_link::
+            // exclusive_get). Sound: every deferred engine operation, and so
+            // every helper it runs, is under a guard pinned while n could
+            // still be reached, and this free waits for global ≥ r + 3,
+            // past every such pin. No helper that validated against n can
+            // still be running.
+            n->smr_release_children_();
+            delete n;  // lfrc-lint: arena-route
+            return;
+        }
+        dom.retire(n, &review);
     }
-    static void aux_clear(std::size_t s) noexcept { instance().flush_slot(s); }
 
     static std::size_t hash(const deferred_node* n) noexcept {
         auto x = reinterpret_cast<std::uintptr_t>(n) >> 4;
@@ -326,7 +215,7 @@ class runtime {
     void adjust(deferred_node* n, std::int64_t d) {
         slot_cache& c = cache();
         if (c.depth == 0) {
-            apply(c, n, d);
+            apply(n, d);
             return;
         }
         const std::size_t h = hash(n);
@@ -345,22 +234,12 @@ class runtime {
         }
         // Table pressure: apply through. Sound in both directions — we hold
         // the pin, so this is just an early flush of one entry.
-        apply(c, n, d);
+        apply(n, d);
     }
 
-    void flush(slot_cache& c) {
-        for (std::uint32_t i = 0; i < c.ndirty; ++i) {
-            entry& e = c.entries[c.dirty[i]];
-            if (e.delta != 0) apply(c, e.node, e.delta);
-            e.node = nullptr;
-            e.delta = 0;
-        }
-        c.ndirty = 0;
-    }
-
-    void apply(slot_cache& c, deferred_node* n, std::int64_t d) {
+    static void apply(deferred_node* n, std::int64_t d) {
         // Stamp BEFORE any potentially-crossing subtraction: a racing
-        // reviewer that observes our zero must also observe a stamp at
+        // review that observes our zero must also observe a stamp at
         // least this fresh (it reads the count before the stamp).
         if (d < 0) stamp(n);
         const std::uint64_t old =
@@ -372,15 +251,12 @@ class runtime {
             std::uint64_t expected = 0;
             if (n->rc_.compare_exchange_strong(expected, queued_bit,
                                                std::memory_order_seq_cst)) {
-                review_shard& sh = *shards_[c.self];
-                sh.count.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(deferred-shard-counter)
-                push_review_chain(sh, n, n);
-                ++c.detections;
+                reclaim::epoch_domain::global().retire(n, &review);
             }
         }
     }
 
-    void stamp(deferred_node* n) noexcept {
+    static void stamp(deferred_node* n) noexcept {
         const std::uint64_t s = reclaim::epoch_domain::global().global_epoch() + 1;
         std::uint64_t cur = n->review_stamp_.load(std::memory_order_seq_cst);
         while (cur < s) {
@@ -390,20 +266,7 @@ class runtime {
         }
     }
 
-    // Does NOT touch the shard count: a pushed node is counted exactly
-    // once, at its zero-detection — reviewer re-pushes of survivors are
-    // moves, not new entries.
-    void push_review_chain(review_shard& sh, deferred_node* head,
-                           deferred_node* tail) noexcept {
-        deferred_node* old_head = sh.head.load(std::memory_order_relaxed);  // lfrc-lint: order(review-queue-head)
-        do {
-            tail->review_next_.store(old_head, std::memory_order_relaxed);  // lfrc-lint: order(review-link)
-        } while (!sh.head.compare_exchange_weak(old_head, head,  // lfrc-lint: order(review-queue-head)
-                                                std::memory_order_acq_rel));
-    }
-
     util::padded<slot_cache> caches_[util::thread_registry::max_threads];
-    util::padded<review_shard> shards_[util::thread_registry::max_threads];
 };
 
 }  // namespace deferred_detail
@@ -425,7 +288,7 @@ class deferred : public cell_ops<Engine> {
     static constexpr bool has_lazy_traverse = true;
     static constexpr std::size_t guard_slots = 4;
 
-    /// Adapts smr_children to the reviewer's child-release walk.
+    /// Adapts smr_children to the review's child-release walk.
     template <typename Node>
     struct node_base : deferred_detail::deferred_node {
       private:
@@ -496,7 +359,7 @@ class deferred : public cell_ops<Engine> {
       public:
         explicit guard(deferred&) noexcept : c_(&rt::instance().cache()) { ++c_->depth; }
         ~guard() {
-            if (--c_->depth == 0) rt::instance().guard_closed(*c_);
+            if (--c_->depth == 0) rt::instance().flush(*c_);
         }
         guard(const guard&) = delete;
         guard& operator=(const guard&) = delete;
@@ -549,7 +412,7 @@ class deferred : public cell_ops<Engine> {
     template <typename Node>
     void reset_chain(cell_link<Node>& head) {
         // Severing the head reference unravels the chain iteratively
-        // through the review queue (children release on each free).
+        // through the epoch domain (children release on each free).
         Node* n = head.exclusive_get();
         head.exclusive_set(nullptr);
         rt::instance().release(n);
@@ -577,12 +440,8 @@ class deferred : public cell_ops<Engine> {
         return true;
     }
 
-    std::uint64_t pending() const noexcept {
-        // Includes the review backlog: runtime registers as the epoch
-        // domain's aux reclaimer.
-        return reclaim::epoch_domain::global().pending();
-    }
-    std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
+    std::uint64_t pending() const noexcept { return reclaim::epoch_domain::global().pending(); }
+    std::uint64_t drain(int rounds) { return reclaim::epoch_domain::global().drain(rounds); }
 };
 
 }  // namespace lfrc::smr

@@ -163,7 +163,7 @@ class ebr : public manual_policy<Engine, ebr<Engine>> {
     };
 
     std::uint64_t pending() const noexcept { return reclaim::epoch_domain::global().pending(); }
-    std::uint64_t drain(int rounds) { return detail::drain_epoch_domain(rounds); }
+    std::uint64_t drain(int rounds) { return reclaim::epoch_domain::global().drain(rounds); }
 };
 
 /// Hazard pointers. has_lazy_traverse is false: a hazard protects exactly

@@ -14,7 +14,8 @@
 //   leaky     never free — the idealized "the GC will get it" fiction
 //   gc_heap   an actual GC: the toy stop-the-world mark-sweep heap
 //   deferred  thread-local deferred RC (ABW/libsref): epoch-pinned guards,
-//             per-thread delta tables, review queue for zero-detection
+//             per-thread delta tables, zero-count nodes retired into the
+//             epoch domain
 //
 // Two families implement them. counted and borrowed are domain-backed
 // (borrowed derives from counted and owns only its guard); the other five
@@ -110,7 +111,6 @@
 
 #include "dcas/cell.hpp"
 #include "gc/heap.hpp"
-#include "reclaim/epoch.hpp"
 
 namespace lfrc::smr {
 
@@ -314,29 +314,6 @@ class cell_ops {
 };
 
 namespace detail {
-
-/// Bounded drive of the global epoch domain's deferred frees (the same
-/// stall-guarded loop as lfrc::flush_deferred_frees, reimplemented here so
-/// the manual policies need no dependency on the domain layer). Returns the
-/// residual pending count.
-inline std::uint64_t drain_epoch_domain(int rounds) {
-    auto& d = reclaim::epoch_domain::global();
-    std::uint64_t prev = ~std::uint64_t{0};
-    int stalled = 0;
-    for (int i = 0; i < rounds; ++i) {
-        const std::uint64_t p = d.pending();
-        if (p == 0) break;
-        if (p >= prev) {
-            if (++stalled > 4) break;  // > grace period with no progress
-        } else {
-            stalled = 0;
-        }
-        prev = p;
-        d.try_advance();
-        d.drain_all();
-    }
-    return d.pending();
-}
 
 // ---- smr_children / smr_link_count cross-check ----------------------------
 //

@@ -484,9 +484,11 @@ class kv_store {
                   "smr_children enumeration");
 
   public:
-    /// The per-key node, named for layout checks: the arena size class an
-    /// entry lands in is most of a loaded store's footprint.
+    /// The per-key node and its value box, named for layout checks: the
+    /// arena size classes they land in are most of a loaded store's
+    /// footprint.
     using entry_type = entry_t;
+    using box_type = box_t;
 
 #if defined(LFRC_ENABLE_MUTATIONS)
     /// Seeded growth bug for mutation testing (tests/sim/sim_store_growth_

@@ -1,37 +1,39 @@
-// Model checks for smr::deferred's delta-table / review-queue machinery
-// (the races the conformance stack test only hits incidentally):
+// Model checks for smr::deferred's delta tables and its per-node review,
+// which runs as the node's epoch-domain deleter (the races the conformance
+// stack test only hits incidentally):
 //
 //  1. GraceProtectsPinnedReader — a reader holding only an epoch pin (its
 //     protection is a raw pointer read; no count, no hazard slot)
 //     dereferences a node while another fiber performs the final release
-//     and then aggressively drives the reviewer. The shadow heap fails the
-//     schedule if the review queue frees the node before the reader's pin
-//     has aged out of the grace window.
+//     and then aggressively drives the drain. The shadow heap fails the
+//     schedule if the review frees the node before the reader's pin has
+//     aged out of the grace window.
 //
 //  2. FlushRacesFinalRelease — one fiber links/unlinks a node through a
 //     second root, so a +1/-1 pair for the node sits unflushed in its delta
 //     table while another fiber applies the final release of the original
 //     link. Depending on the interleaving, the authoritative count touches
 //     zero while the table still owes the node a +1 (resurrection through
-//     the review queue's re-check), or the flush lands first and the
-//     release is the true final one. Either way the node must be freed
-//     exactly once and nothing may leak — double-free is caught by the
-//     shadow heap, a leak by the arena check, a stuck review queue by the
-//     residual-pending check at quiescence.
+//     the review's re-check), or the flush lands first and the release is
+//     the true final one. Either way the node must be freed exactly once
+//     and nothing may leak — double-free is caught by the shadow heap, a
+//     leak by the arena check, a stuck retire by the residual-pending
+//     check at quiescence.
 //
 //  3. TwoReviewersRaceResurrection — white-box check of the reviewer's
-//     resurrection claim handoff, driving deferred_detail::runtime
-//     directly: setup zero-crosses a node (queued) and resurrects it with
-//     a +1, reviewer A steals it (count > 0 path), while fiber B performs
-//     the final release and drives its own unpinned review to the free.
-//     The dangerous schedule: A relinquishes the queue claim, B's release
-//     re-queues the node and B's reviewer advances epochs and frees it —
-//     any access A makes after losing the claim is a UAF the shadow heap
-//     flags. A must therefore release the claim only through a CAS that
-//     requires count > 0 (failure = claim still held). A preemption bound
-//     of 1 makes this a dense search over A's preemption point; the
-//     pre-fix code (claim released with fetch_and, then re-read) fails
-//     this test within ~700 schedules at this seed.
+//     resurrection claim handoff, driving deferred_detail::runtime's
+//     counts directly: setup zero-crosses a node (claimed and retired) and
+//     resurrects it with a +1; fiber A drains the epoch domain, so its
+//     review finds the count > 0, while fiber B performs the final release
+//     and drives its own unpinned drain to the free. The dangerous
+//     schedule: A relinquishes the claim, B's release retires the node
+//     again and B's drain advances epochs and frees it — any access A
+//     makes after losing the claim is a UAF the shadow heap flags. A must
+//     therefore release the claim only through a CAS that requires
+//     count > 0 (failure = claim still held). A preemption bound of 1
+//     makes this a dense search over A's preemption point; the pre-fix
+//     review (claim released with fetch_and, then re-read) fails this test
+//     at this seed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -153,24 +155,27 @@ TEST(SimDeferred, TwoReviewersRaceResurrection) {
         auto s = std::make_shared<node*>(nullptr);
         auto& r = rt::instance();
         *s = new node;       // birth reference, count 1
-        r.release(*s);       // zero-cross: claimed + queued on our shard
+        r.release(*s);       // zero-cross: claimed + retired into the domain
         r.add_ref(*s);       // resurrected: count 1, claim still held
+        // Age the record past its grace period, so A's first reclaim pass
+        // reviews it and the handoff lies within A's first few steps.
+        auto& dom = lfrc::reclaim::epoch_domain::global();
+        for (int i = 0; i < 3; ++i) dom.try_advance();
         e.spawn("reviewerA", [] {
-            // Steals the resurrected node and must hand the claim back.
-            rt::instance().process_review(/*max_passes=*/1, /*all_shards=*/true);
+            // Its review of the resurrected node must hand the claim back.
+            lfrc::reclaim::epoch_domain::global().drain(1);
         });
         e.spawn("releaserB", [s] {
-            auto& rr = rt::instance();
-            rr.release(*s);  // final release: re-crosses zero
-            // Unpinned reviewer: if A released the claim, this re-queues,
-            // outwaits the grace period, and frees — while A may still be
-            // parked inside its handoff.
-            rr.process_review(/*max_passes=*/0, /*all_shards=*/true);
+            rt::instance().release(*s);  // final release: re-crosses zero
+            // Unpinned drain: if A released the claim, the release above
+            // retired the node again; this outwaits the grace period and
+            // frees it — while A may still be parked inside its handoff.
+            lfrc::reclaim::epoch_domain::global().drain(1);
         });
         e.on_quiesce([] {
             if (lfrc::flush_deferred_frees(64) != 0) {
                 sim::fail_here("residual-pending",
-                               "review queue stuck at quiescence");
+                               "retired node stuck at quiescence");
             }
         });
     });

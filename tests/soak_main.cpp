@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "containers/lfrc_hash_set.hpp"
-#include "containers/ms_queue.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/queue_core.hpp"
+#include "containers/stack_core.hpp"
 #include "lfrc/lfrc.hpp"
+#include "smr/counted.hpp"
 #include "snark/snark_fixed.hpp"
 #include "snark/snark_lfrc.hpp"
 #include "util/cli.hpp"
@@ -38,8 +39,8 @@ int main(int argc, char** argv) {
     {
         lfrc::snark::snark_deque<dom, std::int64_t> deque;
         lfrc::snark::snark_deque_fixed<dom> fixed_deque;
-        lfrc::containers::treiber_stack<dom, std::int64_t> stack;
-        lfrc::containers::ms_queue<dom, std::int64_t> queue;
+        lfrc::containers::stack_core<std::int64_t, lfrc::smr::counted<dom>> stack;
+        lfrc::containers::queue_core<std::int64_t, lfrc::smr::counted<dom>> queue;
         lfrc::containers::lfrc_hash_set<dom, std::int64_t> set{32};
 
         std::atomic<bool> stop{false};

@@ -38,17 +38,6 @@ TEST(Stats, ScopeCheckDetectsLeak) {
     EXPECT_EQ(check.leaked_bytes(), 0);
 }
 
-TEST(Counted, NewDeleteReportsExactSize) {
-    struct widget {
-        std::uint64_t payload[4];
-    };
-    scope_check check;
-    widget* w = counted_new<widget>();
-    EXPECT_EQ(check.leaked_bytes(), static_cast<std::int64_t>(sizeof(widget)));
-    counted_delete(w);
-    EXPECT_EQ(check.leaked_bytes(), 0);
-}
-
 TEST(Counted, BaseMixinCountsDerivedSize) {
     struct big : counted_base {
         std::uint64_t payload[16];

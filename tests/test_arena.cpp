@@ -33,20 +33,19 @@ TEST(ArenaRouting, SizeClassLookup) {
     EXPECT_EQ(arena_testing::klass_of(64), 1);
     EXPECT_EQ(arena_testing::klass_of(65), 2);
     EXPECT_EQ(arena_testing::klass_of(72), 2);
-    EXPECT_EQ(arena_testing::klass_of(73), 3);
-    EXPECT_EQ(arena_testing::klass_of(80), 3);
-    EXPECT_EQ(arena_testing::klass_of(81), 4);
-    EXPECT_EQ(arena_testing::klass_of(2048), 13);
+    EXPECT_EQ(arena_testing::klass_of(80), 2);
+    EXPECT_EQ(arena_testing::klass_of(81), 3);
+    EXPECT_EQ(arena_testing::klass_of(2048), 12);
     EXPECT_EQ(arena_testing::klass_of(2049), -1);  // system-heap route
 }
 
 TEST(ArenaRouting, ChunkRecordGivesFreshBlockHomeAndClass) {
     auto a = fresh_arena();
-    void* p = a->allocate(100);  // class 5 (<=128)
+    void* p = a->allocate(100);  // class 4 (<=128)
     void* q = a->allocate(100);
     ASSERT_NE(p, nullptr);
-    EXPECT_EQ(arena_testing::class_of_block(*a, p), 5);
-    EXPECT_EQ(arena_testing::home_of(*a, 5, p), my_slot());
+    EXPECT_EQ(arena_testing::class_of_block(*a, p), 4);
+    EXPECT_EQ(arena_testing::home_of(*a, 4, p), my_slot());
     // No header: a block is exactly its class, 16-aligned, and the next
     // carve from the same chunk is the next 128 bytes.
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
@@ -60,8 +59,8 @@ TEST(ArenaRouting, ChunkRecordGivesFreshBlockHomeAndClass) {
         r = a->allocate(100);
     }).join();
     EXPECT_NE(other, my_slot());
-    EXPECT_EQ(arena_testing::class_of_block(*a, r), 5);
-    EXPECT_EQ(arena_testing::home_of(*a, 5, r), other);
+    EXPECT_EQ(arena_testing::class_of_block(*a, r), 4);
+    EXPECT_EQ(arena_testing::home_of(*a, 4, r), other);
     EXPECT_EQ(arena_testing::class_of_block(*a, &other), -1);
     for (void* b : {p, q, r}) a->deallocate(b, 100);
 }

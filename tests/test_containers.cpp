@@ -9,11 +9,12 @@
 #include <thread>
 #include <vector>
 
-#include "containers/ms_queue.hpp"
-#include "containers/reclaim_queue.hpp"
-#include "containers/reclaim_stack.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/queue_core.hpp"
+#include "containers/stack_core.hpp"
 #include "lfrc_test_helpers.hpp"
+#include "smr/counted.hpp"
+#include "smr/deferred.hpp"
+#include "smr/manual.hpp"
 #include "util/random.hpp"
 #include "util/spin_barrier.hpp"
 
@@ -30,7 +31,7 @@ using Domains = ::testing::Types<domain, locked_domain>;
 TYPED_TEST_SUITE(LfrcStackTest, Domains);
 
 TYPED_TEST(LfrcStackTest, LifoOrder) {
-    containers::treiber_stack<TypeParam, int> st;
+    containers::stack_core<int, smr::counted<TypeParam>> st;
     EXPECT_TRUE(st.empty());
     for (int i = 0; i < 10; ++i) st.push(i);
     for (int i = 9; i >= 0; --i) EXPECT_EQ(st.pop(), i);
@@ -41,7 +42,7 @@ TYPED_TEST(LfrcStackTest, NoLeakAfterChurn) {
     using D = TypeParam;
     const auto before = D::counters().snapshot();
     {
-        containers::treiber_stack<D, int> st;
+        containers::stack_core<int, smr::counted<D>> st;
         for (int round = 0; round < 10; ++round) {
             for (int i = 0; i < 200; ++i) st.push(i);
             for (int i = 0; i < 150; ++i) st.pop();
@@ -54,7 +55,7 @@ TYPED_TEST(LfrcStackTest, NoLeakAfterChurn) {
 }
 
 TYPED_TEST(LfrcStackTest, ConcurrentConservation) {
-    containers::treiber_stack<TypeParam, std::int64_t> st;
+    containers::stack_core<std::int64_t, smr::counted<TypeParam>> st;
     constexpr int threads = 4;
     constexpr int per_thread = 5000;
     const auto total = static_cast<std::int64_t>(threads) * per_thread;
@@ -91,7 +92,7 @@ class LfrcQueueTest : public ::testing::Test {};
 TYPED_TEST_SUITE(LfrcQueueTest, Domains);
 
 TYPED_TEST(LfrcQueueTest, FifoOrder) {
-    containers::ms_queue<TypeParam, int> q;
+    containers::queue_core<int, smr::counted<TypeParam>> q;
     EXPECT_TRUE(q.empty());
     for (int i = 0; i < 10; ++i) q.enqueue(i);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(q.dequeue(), i);
@@ -100,7 +101,7 @@ TYPED_TEST(LfrcQueueTest, FifoOrder) {
 }
 
 TYPED_TEST(LfrcQueueTest, EmptyRefillCycles) {
-    containers::ms_queue<TypeParam, int> q;
+    containers::queue_core<int, smr::counted<TypeParam>> q;
     for (int round = 0; round < 100; ++round) {
         q.enqueue(round);
         EXPECT_EQ(q.dequeue(), round);
@@ -112,7 +113,7 @@ TYPED_TEST(LfrcQueueTest, NoLeakAfterChurn) {
     using D = TypeParam;
     const auto before = D::counters().snapshot();
     {
-        containers::ms_queue<D, int> q;
+        containers::queue_core<int, smr::counted<D>> q;
         for (int round = 0; round < 10; ++round) {
             for (int i = 0; i < 200; ++i) q.enqueue(i);
             for (int i = 0; i < 150; ++i) q.dequeue();
@@ -125,7 +126,7 @@ TYPED_TEST(LfrcQueueTest, NoLeakAfterChurn) {
 }
 
 TYPED_TEST(LfrcQueueTest, MpmcConservationAndPerProducerOrder) {
-    containers::ms_queue<TypeParam, std::int64_t> q;
+    containers::queue_core<std::int64_t, smr::counted<TypeParam>> q;
     constexpr int producers = 2;
     constexpr int consumers = 2;
     constexpr int per_producer = 5000;
@@ -177,14 +178,14 @@ using Policies = ::testing::Types<smr::leaky<>, smr::ebr<>, smr::hp<>>;
 TYPED_TEST_SUITE(ReclaimStackTest, Policies);
 
 TYPED_TEST(ReclaimStackTest, LifoOrder) {
-    containers::reclaim_stack<int, TypeParam> st;
+    containers::stack_core<int, TypeParam> st;
     for (int i = 0; i < 10; ++i) st.push(i);
     for (int i = 9; i >= 0; --i) EXPECT_EQ(st.pop(), i);
     EXPECT_EQ(st.pop(), std::nullopt);
 }
 
 TYPED_TEST(ReclaimStackTest, ConcurrentSumConserved) {
-    containers::reclaim_stack<std::int64_t, TypeParam> st;
+    containers::stack_core<std::int64_t, TypeParam> st;
     constexpr int threads = 4;
     constexpr int per_thread = 4000;
     std::atomic<std::int64_t> pop_sum{0};
@@ -216,7 +217,7 @@ class ReclaimQueueTest : public ::testing::Test {};
 TYPED_TEST_SUITE(ReclaimQueueTest, Policies);
 
 TYPED_TEST(ReclaimQueueTest, FifoOrder) {
-    containers::reclaim_queue<int, TypeParam> q;
+    containers::queue_core<int, TypeParam> q;
     EXPECT_TRUE(q.empty());
     for (int i = 0; i < 10; ++i) q.enqueue(i);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(q.dequeue(), i);
@@ -224,7 +225,7 @@ TYPED_TEST(ReclaimQueueTest, FifoOrder) {
 }
 
 TYPED_TEST(ReclaimQueueTest, SpscOrderPreserved) {
-    containers::reclaim_queue<int, TypeParam> q;
+    containers::queue_core<int, TypeParam> q;
     constexpr int total = 20000;
     std::atomic<int> bad_order{0};
     std::thread producer([&] {
@@ -251,10 +252,7 @@ TYPED_TEST(ReclaimQueueTest, SpscOrderPreserved) {
 // Flush both global domains so earlier suites' retirements don't skew the
 // scope accounting.
 void flush_global_domains() {
-    for (int i = 0; i < 40; ++i) {
-        reclaim::epoch_domain::global().try_advance();
-        reclaim::epoch_domain::global().drain_all();
-    }
+    reclaim::epoch_domain::global().drain(40);
     reclaim::hazard_domain::global().drain_all();
 }
 
@@ -262,7 +260,7 @@ TEST(ReclaimStackMemory, EbrReclaimsAtQuiescence) {
     flush_global_domains();
     alloc::scope_check check;
     {
-        containers::reclaim_stack<int, smr::ebr<>> st;
+        containers::stack_core<int, smr::ebr<>> st;
         for (int i = 0; i < 5000; ++i) st.push(i);
         for (int i = 0; i < 5000; ++i) st.pop();
         st.policy().drain(40);
@@ -274,7 +272,7 @@ TEST(ReclaimStackMemory, HpReclaimsAtQuiescence) {
     flush_global_domains();
     alloc::scope_check check;
     {
-        containers::reclaim_stack<int, smr::hp<>> st;
+        containers::stack_core<int, smr::hp<>> st;
         for (int i = 0; i < 5000; ++i) st.push(i);
         for (int i = 0; i < 5000; ++i) st.pop();
         st.policy().drain(40);
@@ -282,9 +280,26 @@ TEST(ReclaimStackMemory, HpReclaimsAtQuiescence) {
     EXPECT_EQ(check.leaked_objects(), 0);
 }
 
+// Destroying a deferred stack severs one head reference; the other 9,999
+// nodes reach zero one level at a time, each retired from inside its
+// parent's review and freed a grace period later, so pending() stays level
+// while the chain unravels. One drain(64) must still chase the whole
+// cascade. Fails against a drain that runs one reclaim pass per round
+// (epoch_domain::cascade_passes = 1): 64 passes free a few dozen levels.
+TEST(ReclaimStackMemory, DeferredChainDrainsInOneCall) {
+    flush_global_domains();
+    const std::int64_t before = alloc::live_objects();
+    {
+        containers::stack_core<int, smr::deferred<>> st;
+        for (int i = 0; i < 10000; ++i) st.push(i);
+    }
+    EXPECT_EQ(smr::deferred<>{}.drain(64), 0u);
+    EXPECT_EQ(alloc::live_objects(), before);
+}
+
 TEST(ReclaimStackMemory, LeakyLeaksByDesign) {
     alloc::scope_check check;
-    containers::reclaim_stack<int, smr::leaky<>> st;
+    containers::stack_core<int, smr::leaky<>> st;
     for (int i = 0; i < 1000; ++i) st.push(i);
     for (int i = 0; i < 1000; ++i) st.pop();
     // 1000 nodes popped, none freed: the "GC will get it" fiction.

@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "containers/lfrc_list.hpp"
-#include "containers/ms_queue.hpp"
-#include "containers/treiber_stack.hpp"
+#include "containers/queue_core.hpp"
+#include "containers/stack_core.hpp"
 #include "lfrc_test_helpers.hpp"
+#include "smr/counted.hpp"
 #include "snark/snark_lfrc.hpp"
 #include "util/random.hpp"
 #include "util/spin_barrier.hpp"
@@ -149,7 +150,7 @@ TEST_P(SequentialModelSweep, DequeMatchesStdDeque) {
 }
 
 TEST_P(SequentialModelSweep, StackMatchesVector) {
-    containers::treiber_stack<domain, std::int64_t> st;
+    containers::stack_core<std::int64_t, smr::counted<domain>> st;
     std::vector<std::int64_t> model;
     util::xoshiro256 rng{GetParam() ^ 0xabcdef};
     for (int i = 0; i < 2500; ++i) {
@@ -169,7 +170,7 @@ TEST_P(SequentialModelSweep, StackMatchesVector) {
 }
 
 TEST_P(SequentialModelSweep, QueueMatchesStdDeque) {
-    containers::ms_queue<domain, std::int64_t> q;
+    containers::queue_core<std::int64_t, smr::counted<domain>> q;
     std::deque<std::int64_t> model;
     util::xoshiro256 rng{GetParam() ^ 0x123456};
     for (int i = 0; i < 2500; ++i) {
@@ -219,7 +220,7 @@ TEST_P(LedgerSweep, BalancesAfterConcurrentChurn) {
     const auto before = domain::counters().snapshot();
     {
         snark::snark_deque<domain, std::int64_t> dq;
-        containers::treiber_stack<domain, std::int64_t> st;
+        containers::stack_core<std::int64_t, smr::counted<domain>> st;
         util::spin_barrier barrier{static_cast<std::size_t>(threads)};
         std::vector<std::thread> pool;
         for (int t = 0; t < threads; ++t) {

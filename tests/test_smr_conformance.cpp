@@ -238,14 +238,12 @@ TYPED_TEST(SmrConformance, ReclamationStoryAtQuiescence) {
         EXPECT_GE(check.leaked_objects(), static_cast<std::int64_t>(churn));
     } else if constexpr (std::is_same_v<P, smr::deferred<>>) {
         // deferred RC: counts are thread-local until guard exit, frees wait
-        // in the review queue for a grace period — but at quiescence a
+        // in the epoch domain for a grace period — but at quiescence a
         // bounded drain must reconcile everything and reach zero backlog.
-        // (Pre-drain clears review-queue leftovers from earlier typed tests
-        // so the allocation census below starts from a clean slate.)
-        for (int i = 0; i < 40; ++i) {
-            reclaim::epoch_domain::global().try_advance();
-            reclaim::epoch_domain::global().drain_all();
-        }
+        // (Pre-drain clears leftovers from earlier typed tests, whose
+        // chains unravel one level per pass, so the allocation census
+        // below starts from a clean slate.)
+        drain_epochs();
         alloc::scope_check check;
         {
             harness<P> h;
@@ -272,10 +270,7 @@ TYPED_TEST(SmrConformance, ReclamationStoryAtQuiescence) {
                   after.objects_destroyed - before.objects_destroyed);
     } else {
         // ebr/hp: a bounded drain at quiescence reclaims everything.
-        for (int i = 0; i < 40; ++i) {
-            reclaim::epoch_domain::global().try_advance();
-            reclaim::epoch_domain::global().drain_all();
-        }
+        drain_epochs();
         reclaim::hazard_domain::global().drain_all();
         alloc::scope_check check;
         {

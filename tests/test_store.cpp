@@ -458,13 +458,16 @@ TYPED_TEST(StoreGrowthTest, ConcurrentChurnGrowsAndDrainsClean) {
     }
 }
 
-// The deferred policy's entry — the node a loaded store holds one of per
-// key — fills the arena's 72-byte class instead of padding into 80.
-TEST(StoreLayout, DeferredEntryRoutesToThe72ByteClass) {
+// The deferred policy's entry and box — the two nodes a loaded store holds
+// per key — fill the arena's 64- and 48-byte classes with no padding.
+TEST(StoreLayout, DeferredEntryRoutesToThe64ByteClass) {
     using store_t = store::kv_store<smr::deferred<>, std::uint64_t, std::uint64_t>;
     const int k = alloc::arena_testing::klass_of(sizeof(store_t::entry_type));
     ASSERT_GE(k, 0);
-    EXPECT_EQ(alloc::arena::class_sizes[k], 72u);
+    EXPECT_EQ(alloc::arena::class_sizes[k], 64u);
+    const int b = alloc::arena_testing::klass_of(sizeof(store_t::box_type));
+    ASSERT_GE(b, 0);
+    EXPECT_EQ(alloc::arena::class_sizes[b], 48u);
 }
 
 // The workload driver itself, at a deterministic-ish smoke scale: it must

@@ -35,9 +35,11 @@
 // The pre-reuse engine, frozen at the commit that replaced it. Identical
 // protocol (Harris RDCSS + MCAS, address-ordered entries, helping), but
 // descriptors are pool blocks retired through the epoch domain so helpers
-// holding raw pointers never dereference reused storage. The only edit:
-// a `retires` counter on the two retire() sites, so the bench can report
-// the reclaimer traffic the production engine no longer generates.
+// holding raw pointers never dereference reused storage. Two edits: a
+// `retires` counter on the two retire() sites, so the bench can report
+// the reclaimer traffic the production engine no longer generates; and
+// the backing pools count their chunks in alloc::stats, as every
+// block_pool does (nothing here reads those counters).
 namespace e10_baseline {
 
 using lfrc::dcas::cell;
@@ -163,7 +165,7 @@ class engine {
             return cache;
         }
         static lfrc::alloc::block_pool<Size>& backing() {
-            static auto* pool = new lfrc::alloc::block_pool<Size>{/*track_stats=*/false};
+            static auto* pool = new lfrc::alloc::block_pool<Size>;
             return *pool;
         }
     };

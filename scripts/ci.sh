@@ -69,26 +69,28 @@ PY
       fi
       ;;
     release)
-      run_cell release cmake -B build -G Ninja
-      cmake --build build
+      # Its own tree: build/ belongs to the tier-1 command (default
+      # generator), and a tree's generator cannot change after configure.
+      run_cell release cmake -B build-release -G Ninja
+      cmake --build build-release
       # Includes bench_suite_smoke (label bench, ~25 s): every benchmark
       # workload for 1 s with its output checks on.
-      ctest --test-dir build --output-on-failure
+      ctest --test-dir build-release --output-on-failure
       # E10 smoke: exits non-zero if the reuse engine generates ANY
       # reclaimer traffic (retired / pending deltas must be zero).
-      ./build/bench/bench_e10_casn --duration=0.05 --max_threads=2
+      ./build-release/bench/bench_e10_casn --duration=0.05 --max_threads=2
       # Net loopback smoke: lfrc_kvd + lfrc_loadgen over 127.0.0.1 — asserts
       # a non-empty latency histogram and zero reclaimer residual after the
       # SIGTERM graceful drain (scripts/net_smoke.sh).
-      ./scripts/net_smoke.sh build 0.5 3000
+      ./scripts/net_smoke.sh build-release 0.5 3000
       ;;
     tsan)
       run_cell tsan cmake -B build-thread -G Ninja -DLFRC_SANITIZE=thread
       cmake --build build-thread
       # Runs the full suite including test_smr_conformance — every smr
       # policy's protocol races (counted DCAS, hazard announce/validate,
-      # epoch pins, deferred's delta flush / review-queue handoff, GC
-      # safepoints) die here first.
+      # epoch pins, deferred's delta flush / retire into the epoch domain,
+      # GC safepoints) die here first.
       # The Valois comparator and its type-stable block pool read recycled
       # memory BY DESIGN — the exact hazard the paper's §2 discusses and
       # LFRC exists to avoid. TSan rightly reports those reads as races
@@ -120,8 +122,9 @@ PY
       run_cell asan cmake -B build-address -G Ninja -DLFRC_SANITIZE=address
       cmake --build build-address
       # Full suite including test_smr_conformance: UAF/double-free in any
-      # policy's reclamation path lands here (deferred's review queue frees
-      # after a grace period — an early free is exactly an ASan hit). The smr::leaky baseline never
+      # policy's reclamation path lands here (deferred's zero-count nodes
+      # free through the epoch domain after a grace period — an early free
+      # is exactly an ASan hit). The smr::leaky baseline never
       # frees by design; lsan.supp suppresses exactly those allocations so
       # LSan still guards every other policy.
       # Label bench (bench_suite_smoke) is left to the release and tsan

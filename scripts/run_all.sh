@@ -12,8 +12,8 @@ if [[ "${1:-}" == "--ci" ]]; then
   exec ./scripts/ci.sh "$@"
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 

@@ -7,8 +7,6 @@
 //
 //  * containers::valois_stack — the comparator whose footprint cannot
 //    shrink (experiment E4);
-//  * reclaim::epoch_domain — its retire bookkeeping nodes (track_stats
-//    off: infrastructure, not application footprint);
 //  * the frozen allocate+retire DCAS baseline in bench_e10;
 //  * tests/test_aba_demo.cpp — the LIFO reuse makes ABA reproduce reliably,
 //    demonstrating why CAS-only reference counting on reusable memory is
@@ -39,12 +37,7 @@ class block_pool {
     static constexpr std::size_t blocks_per_chunk = slab_directory::slots_per_chunk;
     static constexpr std::size_t max_chunks = slab_directory::max_chunks;
 
-    /// `track_stats == false` keeps this pool's chunks out of the global
-    /// allocation counters — used by infrastructure pools (DCAS descriptors,
-    /// epoch retire nodes) whose footprint would otherwise pollute
-    /// application-level leak accounting.
-    explicit block_pool(bool track_stats = true) noexcept
-        : dir_(slot_bytes, track_stats) {}
+    block_pool() noexcept : dir_(slot_bytes) {}
     block_pool(const block_pool&) = delete;
     block_pool& operator=(const block_pool&) = delete;
 

@@ -1,6 +1,7 @@
-// Shared slab region — the storage engine under every pool in this repo
-// (alloc::block_pool, the epoch retire-node pool, the frozen DCAS baseline
-// pools in bench_e10, and lfrc::alloc::arena).
+// Shared slab region — the storage engine under every pool in this repo:
+// lfrc::alloc::arena (every counted node and the epoch retire records) and
+// alloc::block_pool (the Valois comparator, the ABA demo and the frozen
+// DCAS baseline pools in bench_e10).
 //
 // A slab_directory owns one virtual-address region, reserved with
 // MAP_NORESERVE on the first carve, sized for max_chunks chunks of
@@ -101,9 +102,9 @@ class slab_directory {
     /// `stride` is the exact distance between slots (a multiple of 8; a
     /// slot is aligned to the largest power of two dividing it, up to the
     /// page). `track_stats == false` keeps chunk footprint out of the
-    /// global allocation counters — infrastructure pools (DCAS descriptors,
-    /// epoch retire nodes, the arena's own slabs) must not pollute the
-    /// per-object leak accounting tests and E4 sample.
+    /// global allocation counters — the arena passes it, since counted_base
+    /// already counts its objects one by one and the slabs under them must
+    /// not pollute the per-object leak accounting tests and E4 sample.
     explicit slab_directory(std::size_t stride, bool track_stats = true) noexcept
         : stride_(stride),
           chunk_bytes_(stride * slots_per_chunk),

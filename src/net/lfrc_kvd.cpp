@@ -1,11 +1,11 @@
 // lfrc_kvd — the KV-store server binary (sharded epoll front-end).
 //
-//   lfrc_kvd [--host=127.0.0.1] [--port=7117] [--workers=2] [--shards=8]
-//            [--buckets=64] [--policy=deferred|ebr|borrowed|leaky]
-//            [--max_conn_buffer=1048576] [--tick_ms=10] [--pin]
+//   lfrc_kvd [--host=127.0.0.1] [--port=7117] [--workers=2]
+//            [--policy=deferred|ebr|borrowed|leaky]
 //
-// --buckets is the starting number of buckets per shard: the store doubles
-// its index online once it holds more than 8 live entries per bucket.
+// The store starts at 8 shards × 64 buckets and doubles its index online
+// once it holds more than 8 live entries per bucket. The buffer cap, the
+// connection cap and the epoll timeout are kv_server constants.
 //
 // SIGINT/SIGTERM run the graceful drain (stop accepting, flush owed
 // responses, quiesce workers, kv_store::drain()); the exit status is 0 iff
@@ -44,11 +44,6 @@ int main(int argc, char** argv) {
     cfg.host = flags.get_string("host", cfg.host);
     cfg.port = static_cast<std::uint16_t>(flags.get_u64("port", cfg.port));
     cfg.workers = static_cast<int>(flags.get_u64("workers", 2));
-    cfg.shards = flags.get_u64("shards", cfg.shards);
-    cfg.buckets_per_shard = flags.get_u64("buckets", cfg.buckets_per_shard);
-    cfg.max_conn_buffer = flags.get_u64("max_conn_buffer", cfg.max_conn_buffer);
-    cfg.tick_timeout_ms = static_cast<int>(flags.get_u64("tick_ms", 10));
-    cfg.pin_threads = flags.has("pin");
     const std::string policy = flags.get_string("policy", "deferred");
 
     std::signal(SIGINT, on_signal);

@@ -78,19 +78,6 @@ struct server_config {
     std::string host = "127.0.0.1";
     std::uint16_t port = 7117;
     int workers = 2;
-    std::size_t shards = 8;
-    std::size_t buckets_per_shard = 64;
-    /// Per-connection cap on unparsed input AND unflushed output. Crossing
-    /// either disconnects the peer (flood / slow-reader protection).
-    std::size_t max_conn_buffer = 1 << 20;
-    /// epoll_wait timeout: the latency floor for noticing a drain request;
-    /// irrelevant for request latency (events return immediately).
-    int tick_timeout_ms = 10;
-    /// Per-worker connection cap; accepts beyond it are closed on arrival.
-    std::size_t max_connections = 1024;
-    /// Pin worker w to CPU (w % hw_concurrency). Off by default: container
-    /// schedulers often do better; the E11 sweep can turn it on.
-    bool pin_threads = false;
 };
 
 /// Counters aggregated across workers at shutdown (approximate during the
@@ -117,9 +104,19 @@ class kv_server {
                   "kv_server holds an outer guard across each event-loop tick; "
                   "policies whose guards cannot nest (hp) are not supported");
 
+    /// Per-connection cap on unparsed input AND unflushed output. Crossing
+    /// either disconnects the peer (flood / slow-reader protection).
+    static constexpr std::size_t max_conn_buffer = std::size_t{1} << 20;
+    /// Per-worker connection cap; accepts beyond it are closed on arrival.
+    static constexpr std::size_t max_connections = 1024;
+    /// epoll_wait timeout: the latency floor for noticing a drain request;
+    /// irrelevant for request latency (events return immediately).
+    static constexpr int tick_timeout_ms = 10;
+
+    /// The store starts at its default geometry (8 shards × 64 buckets) and
+    /// grows its index online as keys arrive.
     explicit kv_server(server_config cfg)
-        : cfg_(std::move(cfg)),
-          store_(typename store_t::config{cfg_.shards, cfg_.buckets_per_shard}) {
+        : cfg_(std::move(cfg)), store_(typename store_t::config{}) {
         if (cfg_.workers < 1) cfg_.workers = 1;
     }
 
@@ -260,7 +257,7 @@ class kv_server {
             const ssize_t n = ::read(c.fd, buf, sizeof buf);
             if (n > 0) {
                 c.in.insert(c.in.end(), buf, buf + n);
-                if (c.in.size() - c.in_off > cfg_.max_conn_buffer) {
+                if (c.in.size() - c.in_off > max_conn_buffer) {
                     ++t.overflow_closes;
                     c.dead = true;
                     return;
@@ -420,7 +417,7 @@ class kv_server {
     }
 
     void arm_write(int ep, connection& c, server_totals& t) {
-        if (c.pending.size() - c.pending_off > cfg_.max_conn_buffer) {
+        if (c.pending.size() - c.pending_off > max_conn_buffer) {
             ++t.overflow_closes;  // peer stopped reading; cut it loose
             c.dead = true;
             return;
@@ -434,7 +431,6 @@ class kv_server {
     void worker_main(int w, int listen_fd) {
         worker_slots_[static_cast<std::size_t>(w)] =
             util::thread_registry::instance().slot();
-        if (cfg_.pin_threads) pin_to_cpu(w);
         server_totals& t = worker_totals_[static_cast<std::size_t>(w)];
 
         const int ep = ::epoll_create1(EPOLL_CLOEXEC);
@@ -465,7 +461,7 @@ class kv_server {
 
             const int nev = ::epoll_wait(ep, events.data(),
                                          static_cast<int>(events.size()),
-                                         cfg_.tick_timeout_ms);
+                                         tick_timeout_ms);
             touched.clear();
             for (int i = 0; i < nev; ++i) {
                 const int fd = events[static_cast<std::size_t>(i)].data.fd;
@@ -551,7 +547,7 @@ class kv_server {
                 if (errno == EINTR) continue;
                 return;  // EAGAIN or a transient accept error: next tick
             }
-            if (conns.size() >= cfg_.max_connections) {
+            if (conns.size() >= max_connections) {
                 ::close(fd);  // over the per-worker cap; shed immediately
                 continue;
             }
@@ -569,14 +565,6 @@ class kv_server {
             conns.emplace(fd, std::move(c));
             ++t.accepted;
         }
-    }
-
-    static void pin_to_cpu(int w) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        const unsigned n = std::thread::hardware_concurrency();
-        CPU_SET(static_cast<unsigned>(w) % (n == 0 ? 1 : n), &set);
-        ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
     }
 
     server_config cfg_;

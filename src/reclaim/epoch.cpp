@@ -20,33 +20,10 @@ epoch_domain::~epoch_domain() {
         while (node != nullptr) {
             retired_node* next = node->next;
             node->deleter(node->object);
-            node_pool_.deallocate(node);
+            delete node;
             node = next;
         }
     }
-}
-
-auto epoch_domain::acquire_node() -> retired_node* {
-    // Single-consumer pop from the owner's free stack (only the owner pops,
-    // so the unsynchronized `next` read cannot see a recycled node).
-    slot_record& rec = *slots_[util::thread_registry::instance().slot()];
-    retired_node* head = rec.free_nodes.load(std::memory_order_acquire);  // lfrc-lint: order(free-node-stack)
-    while (head != nullptr) {
-        if (rec.free_nodes.compare_exchange_weak(head, head->next,  // lfrc-lint: order(free-node-stack)
-                                                 std::memory_order_acq_rel)) {
-            return head;
-        }
-    }
-    return static_cast<retired_node*>(node_pool_.allocate());
-}
-
-void epoch_domain::release_node(retired_node* node) noexcept {
-    // Multi-producer push onto the releasing thread's own slot.
-    slot_record& rec = *slots_[util::thread_registry::instance().slot()];
-    retired_node* head = rec.free_nodes.load(std::memory_order_relaxed);  // lfrc-lint: order(free-node-stack)
-    do {
-        node->next = head;
-    } while (!rec.free_nodes.compare_exchange_weak(head, node, std::memory_order_acq_rel));  // lfrc-lint: order(free-node-stack)
 }
 
 std::uint64_t epoch_domain::pending() const noexcept {
@@ -105,26 +82,13 @@ void epoch_domain::exit() noexcept {
 
 void epoch_domain::retire(void* object, void (*deleter)(void*)) {
     const std::size_t slot = util::thread_registry::instance().slot();
-    retired_node* node = acquire_node();
-    node->next = nullptr;
-    node->epoch = global_epoch();
-    node->object = object;
-    node->deleter = deleter;
-    push_retired(slot, node);
+    push_retired_chain(slot, new retired_node{{}, nullptr, global_epoch(), object, deleter});
     slot_record& rec = *slots_[slot];
     rec.pending_delta.fetch_add(1, std::memory_order_relaxed);  // lfrc-lint: order(epoch-pending-counter)
     if (++rec.retires_since_scan >= scan_threshold && !rec.reclaiming) {
         rec.retires_since_scan = 0;
         reclaim_some(slot, /*force=*/false);
     }
-}
-
-void epoch_domain::push_retired(std::size_t slot, retired_node* node) noexcept {
-    std::atomic<retired_node*>& head = slots_[slot]->retired;
-    retired_node* old_head = head.load(std::memory_order_relaxed);  // lfrc-lint: order(epoch-retired-list)
-    do {
-        node->next = old_head;
-    } while (!head.compare_exchange_weak(old_head, node, std::memory_order_acq_rel));  // lfrc-lint: order(epoch-retired-list)
 }
 
 void epoch_domain::push_retired_chain(std::size_t slot, retired_node* chain_head) noexcept {
@@ -160,7 +124,7 @@ auto epoch_domain::free_eligible(retired_node* head, std::uint64_t eligible_befo
         retired_node* next = head->next;
         if (head->epoch < eligible_before) {
             head->deleter(head->object);
-            release_node(head);
+            delete head;
             self.pending_delta.fetch_sub(1, std::memory_order_relaxed);  // lfrc-lint: order(epoch-pending-counter)
             ++freed;
         } else {

@@ -30,7 +30,11 @@
 // *steal* a slot's whole stack with an atomic exchange, free the eligible
 // entries, and push the remainder onto its own stack — so nodes retired by
 // exited threads are eventually drained, and `drain()` lets quiescent
-// tests flush everything.
+// tests flush everything. Each 32-B retire record comes through the same
+// allocation seam as the nodes, uncounted (alloc::storage_base): the
+// arena's 48-B class, so a magazine hit keeps the retire path off shared
+// state, and a record freed by another slot's drain goes home through the
+// arena's remote list.
 //
 // Progress note (matches DESIGN.md §2): all operations here are lock-free,
 // but a thread parked *inside* a critical section stalls epoch advance and
@@ -40,7 +44,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "alloc/block_pool.hpp"
+#include "alloc/counted.hpp"
 #include "sim/instrumented.hpp"
 #include "util/cacheline.hpp"
 #include "util/thread_registry.hpp"
@@ -153,7 +157,9 @@ class epoch_domain {
     static epoch_domain& global();
 
   private:
-    struct retired_node {
+    // Uncounted: records are the domain's bookkeeping, not application
+    // objects, so they stay out of alloc::live_objects()/live_bytes().
+    struct retired_node : alloc::storage_base {
         retired_node* next;
         std::uint64_t epoch;
         void* object;
@@ -181,10 +187,6 @@ class epoch_domain {
         // this, a peer parked inside a guard makes every scan an O(pending)
         // walk that frees nothing (quadratic in the stall length).
         std::atomic<std::uint64_t> last_scan_epoch{0};
-        // Free bookkeeping nodes: multi-producer (any drainer) push,
-        // single-consumer (owner) pop — keeps the hot retire path off the
-        // shared backing pool.
-        std::atomic<retired_node*> free_nodes{nullptr};
         // Per-slot pending delta; pending() sums across slots. Avoids a
         // process-wide contended counter on the retire path.
         std::atomic<std::int64_t> pending_delta{0};
@@ -194,15 +196,12 @@ class epoch_domain {
     static constexpr std::uint64_t scan_threshold = 64;
     static constexpr std::uint64_t cascade_passes = 4096;  // drain() passes per round
 
-    void push_retired(std::size_t slot, retired_node* node) noexcept;
     void push_retired_chain(std::size_t slot, retired_node* chain_head) noexcept;
     std::size_t reclaim_some(std::size_t slot, bool force);
     /// Frees eligible entries of a stolen list; returns the survivors and
     /// adds the number freed to `freed`.
     retired_node* free_eligible(retired_node* head, std::uint64_t eligible_before,
                                 std::size_t& freed);
-    retired_node* acquire_node();
-    void release_node(retired_node* node) noexcept;
 
     util::padded<sim::instrumented_atomic<std::uint64_t>> global_epoch_{std::uint64_t{1}};
     // Aux per-slot hook (register_aux). Null until a layered scheme
@@ -210,10 +209,6 @@ class epoch_domain {
     std::atomic<void (*)(std::size_t) noexcept> aux_clear_slot_{nullptr};
     // Engine per-slot reset hook (register_slot_reset).
     std::atomic<void (*)(std::size_t) noexcept> slot_reset_{nullptr};
-    // Internal bookkeeping nodes come from an untracked pool so the hot
-    // retire path performs no heap allocation and leak accounting stays
-    // application-only.
-    alloc::block_pool<sizeof(retired_node)> node_pool_{/*track_stats=*/false};
     util::padded<slot_record> slots_[util::thread_registry::max_threads];
 };
 

@@ -79,20 +79,10 @@ TEST(BlockPool, AllocateExReportsFreshThenRecycled) {
     pool.deallocate(b);
 }
 
-TEST(BlockPool, UntrackedPoolStaysOutOfStats) {
-    const auto before = alloc::live_bytes();
-    {
-        alloc::block_pool<64> pool{/*track_stats=*/false};
-        for (int i = 0; i < 2000; ++i) pool.allocate();  // forces chunks
-        EXPECT_EQ(alloc::live_bytes(), before) << "untracked pool leaked into stats";
-    }
-    EXPECT_EQ(alloc::live_bytes(), before);
-}
-
 TEST(BlockPool, TrackedPoolCountsChunks) {
     const auto before = alloc::live_bytes();
     {
-        alloc::block_pool<64> pool;  // tracked by default
+        alloc::block_pool<64> pool;
         pool.allocate();
         EXPECT_GT(alloc::live_bytes(), before);
     }

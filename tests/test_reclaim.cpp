@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/arena.hpp"
+#include "alloc/stats.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
 #include "util/spin_barrier.hpp"
@@ -139,6 +141,32 @@ TEST(Epoch, ConcurrentRetireStress) {
     drain(d);
     EXPECT_EQ(tracked::live.load(), before);
     EXPECT_EQ(d.pending(), 0u);
+}
+
+// Retire records come through the arena, uncounted. Pending records must
+// stay out of the live-object census, and records freed by another slot's
+// drain must go home to the retiring slot, which reuses them instead of
+// carving fresh ones. Fails a free_eligible that drops records without
+// freeing them (carved +40,000 over rounds 2-5) and a retired_node that
+// derives from counted_base (leaked_objects 128-176 while pending).
+TEST(Epoch, RetireRecordsRecycleAcrossSlotsAndStayUncounted) {
+    reclaim::epoch_domain d;
+    const int before = tracked::live.load();
+    std::uint64_t carved_after_first = 0;
+    for (int round = 0; round < 5; ++round) {
+        {
+            alloc::scope_check scope;
+            for (int i = 0; i < 10000; ++i) d.retire(new tracked(i));
+            EXPECT_EQ(scope.leaked_objects(), 0) << "round " << round;
+        }
+        std::uint64_t residual = 1;
+        std::thread([&] { residual = d.drain(64); }).join();
+        EXPECT_EQ(residual, 0u) << "round " << round;
+        EXPECT_EQ(tracked::live.load(), before) << "round " << round;
+        if (round == 0) carved_after_first = alloc::arena::instance().snapshot().carved;
+    }
+    EXPECT_LE(alloc::arena::instance().snapshot().carved - carved_after_first, 1024u)
+        << "records freed by the drainer were not reused";
 }
 
 // ---- Hazard pointers ---------------------------------------------------------

@@ -55,8 +55,8 @@
 // and that RDCSS installs its word there until its completion restores the
 // value a few steps later. So even a thread that owns an object alone can
 // find a descriptor word in its cells: every read goes through read()
-// (basic_domain's exclusive_get included; tests/sim/sim_stale_helper_test
-// stages the window).
+// (every field's exclusive_get included, dcas/fields.hpp;
+// tests/sim/sim_stale_helper_test stages the window).
 //
 // The address-ordering of entries prevents two overlapping operations from
 // installing in opposite orders and repeatedly aborting each other.

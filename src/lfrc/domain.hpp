@@ -48,7 +48,6 @@
 //    destruction work per call.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
@@ -58,6 +57,7 @@
 #include "alloc/counted.hpp"
 #include "dcas/cell.hpp"
 #include "dcas/engine.hpp"
+#include "dcas/fields.hpp"
 #include "lfrc/counters.hpp"
 #include "reclaim/epoch.hpp"
 
@@ -68,9 +68,17 @@ class basic_domain {
   public:
     using engine = Engine;
 
-    class object;
+    /// The shared fields (dcas/fields.hpp): a pointer (the `*A` of Figure
+    /// 2), a flag DCAS-able alongside it (the same move LFRCLoad makes with
+    /// the rc word; containers::lfrc_list_set's deletion mark), and the
+    /// (pointer, version) pair of the LL/SC extension below.
     template <typename T>
-    class ptr_field;
+    using ptr_field = dcas::link<Engine, T>;
+    using flag_field = dcas::flag<Engine>;
+    template <typename T>
+    using ll_field = dcas::vslot<Engine, T>;
+
+    class object;
     template <typename T>
     class local_ptr;
     template <typename T>
@@ -111,64 +119,6 @@ class basic_domain {
         dcas::cell rc_{dcas::encode_count(1)};
     };
 
-    /// A shared memory location containing a pointer (the `*A` of Figure 2).
-    /// Null-initialized per §3 step 6. Not copyable or movable: DCAS
-    /// identity is the cell's address.
-    template <typename T>
-    class ptr_field {
-        // (T may be incomplete here — self-referential node types — so the
-        // managed-object requirement is asserted in member functions.)
-      public:
-        ptr_field() noexcept = default;
-        ptr_field(const ptr_field&) = delete;
-        ptr_field& operator=(const ptr_field&) = delete;
-
-        /// Decoded value, for a single owner (during destruction,
-        /// construction before publication, or quiescence). The read goes
-        /// through the engine all the same: a stale helper that validated
-        /// an operation on this cell before it completed can still park
-        /// its RDCSS word here for a few steps, and only the engine
-        /// resolves that word to the value.
-        T* exclusive_get() const noexcept {
-            static_assert(std::is_base_of_v<object, T>,
-                          "ptr_field may only hold LFRC-managed objects");
-            return decode_exclusive<T>(const_cast<dcas::cell&>(cell_));
-        }
-
-      private:
-        friend class basic_domain;
-        dcas::cell cell_{0};
-    };
-
-    /// A shared boolean flag living in an engine cell, so it can be a DCAS
-    /// operand alongside pointer fields (the same move Figure 2's LFRCLoad
-    /// makes with the rc word). Used by structures whose deletion protocol
-    /// needs "pointer + mark" atomicity without violating LFRC compliance
-    /// (no bits smuggled into pointers) — see containers::lfrc_list_set.
-    class flag_field {
-      public:
-        flag_field() noexcept = default;
-        explicit flag_field(bool initial) noexcept
-            : cell_(dcas::encode_count(initial ? 1 : 0)) {}
-        flag_field(const flag_field&) = delete;
-        flag_field& operator=(const flag_field&) = delete;
-
-        bool load() const {
-            return dcas::decode_count(Engine::read(const_cast<dcas::cell&>(cell_))) != 0;
-        }
-
-        bool cas(bool expected, bool desired) {
-            return Engine::cas(cell_, encode(expected), encode(desired));
-        }
-
-      private:
-        friend class basic_domain;
-        static std::uint64_t encode(bool b) noexcept {
-            return dcas::encode_count(b ? 1 : 0);
-        }
-        dcas::cell cell_{dcas::encode_count(0)};
-    };
-
     /// DCAS over a shared pointer and a shared flag, with LFRC count
     /// bookkeeping on the pointer half only (the flag is not a reference).
     template <typename T>
@@ -176,7 +126,7 @@ class basic_domain {
                               T* new0, bool new_flag) {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (new0 != nullptr) add_to_rc(new0, 1);
-        if (Engine::dcas(A.cell_, F.cell_, dcas::encode_ptr(old0),
+        if (Engine::dcas(A.cell(), F.cell(), dcas::encode_ptr(old0),
                          flag_field::encode(old_flag), dcas::encode_ptr(new0),
                          flag_field::encode(new_flag))) {
             destroy(old0);
@@ -351,17 +301,9 @@ class basic_domain {
         borrow_ptr<T> out;
         reclaim::epoch_domain::global().enter();
         out.pinned_ = true;
-        out.p_ = dcas::decode_ptr<T>(Engine::read(A.cell_));
+        out.p_ = dcas::decode_ptr<T>(Engine::read(A.cell()));
         counters().add_borrows(1);
         return out;
-    }
-
-    /// Raw engine-mediated read of *A with NO protection of the result.
-    /// For identity comparison and CAS expected values only — never
-    /// dereference the returned pointer (the smr policy layer's `peek`).
-    template <typename T>
-    static T* peek(ptr_field<T>& A) {
-        return dcas::decode_ptr<T>(Engine::read(A.cell_));
     }
 
     /// Increment-if-nonzero upgrade of a raw pointer to a counted
@@ -427,10 +369,12 @@ class basic_domain {
     /// the step the paper shows cannot be done safely with CAS alone.
     template <typename T>
     static void load(ptr_field<T>& A, local_ptr<T>& dest) {
+        static_assert(std::is_base_of_v<object, T>,
+                      "ptr_field may only hold LFRC-managed objects");
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         T* old_dest = dest.p_;  // line 1: remember for destruction (line 12)
         for (;;) {
-            const std::uint64_t raw = Engine::read(A.cell_);  // line 4
+            const std::uint64_t raw = Engine::read(A.cell());  // line 4
             if (raw == 0) {                                   // lines 5..7
                 dest.p_ = nullptr;
                 break;
@@ -444,7 +388,7 @@ class basic_domain {
             const std::uint64_t r = Engine::read(rc);
             const std::uint64_t r_plus =
                 dcas::encode_count(dcas::decode_count(r) + 1);
-            if (Engine::dcas(A.cell_, rc, raw, r, raw, r_plus)) {  // line 9
+            if (Engine::dcas(A.cell(), rc, raw, r, raw, r_plus)) {  // line 9
                 counters().add_increments(1);
                 dest.p_ = obj;  // line 10
                 break;
@@ -462,19 +406,8 @@ class basic_domain {
     }
 
 #if defined(LFRC_ENABLE_MUTATIONS)
-    /// Seeded stale-helper bug (tests/sim/sim_stale_helper_test): when set,
-    /// exclusive_get loads the cell raw and returns whatever word is there
-    /// — the read that handed a parked RDCSS word to destroy as a child.
-    static std::atomic<bool>& mutate_raw_exclusive_get() noexcept {
-        static std::atomic<bool> flag{false};
-        return flag;
-    }
-    /// White-box cell access, for staging an engine operation on a field
+    /// White-box count access, for staging an engine operation on a field
     /// and a count the way load() pairs them.
-    template <typename T>
-    static dcas::cell& testing_cell_of(ptr_field<T>& f) noexcept {
-        return f.cell_;
-    }
     static dcas::cell& testing_rc_of(object* p) noexcept { return p->rc_; }
 
     /// MUTANT of load() for the sim harness's self-test ONLY (never compiled
@@ -491,7 +424,7 @@ class basic_domain {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         T* old_dest = dest.p_;
         for (;;) {
-            const std::uint64_t raw = Engine::read(A.cell_);
+            const std::uint64_t raw = Engine::read(A.cell());
             if (raw == 0) {
                 dest.p_ = nullptr;
                 break;
@@ -517,8 +450,8 @@ class basic_domain {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (v != nullptr) add_to_rc(v, 1);  // lines 22..23
         for (;;) {
-            const std::uint64_t old_raw = Engine::read(A.cell_);  // line 25
-            if (Engine::cas(A.cell_, old_raw, dcas::encode_ptr(v))) {  // line 26
+            const std::uint64_t old_raw = Engine::read(A.cell());  // line 25
+            if (Engine::cas(A.cell(), old_raw, dcas::encode_ptr(v))) {  // line 26
                 destroy(dcas::decode_ptr<T>(old_raw));  // line 27
                 return;
             }
@@ -537,8 +470,8 @@ class basic_domain {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         T* v = fresh.release();  // we now own its +1
         for (;;) {
-            const std::uint64_t old_raw = Engine::read(A.cell_);
-            if (Engine::cas(A.cell_, old_raw, dcas::encode_ptr(v))) {
+            const std::uint64_t old_raw = Engine::read(A.cell());
+            if (Engine::cas(A.cell(), old_raw, dcas::encode_ptr(v))) {
                 destroy(dcas::decode_ptr<T>(old_raw));
                 return;
             }
@@ -563,7 +496,7 @@ class basic_domain {
     static bool cas(ptr_field<T>& A, T* old0, T* new0) {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (new0 != nullptr) add_to_rc(new0, 1);
-        if (Engine::cas(A.cell_, dcas::encode_ptr(old0), dcas::encode_ptr(new0))) {
+        if (Engine::cas(A.cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0))) {
             destroy(old0);
             return true;
         }
@@ -581,7 +514,7 @@ class basic_domain {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (new0 != nullptr) add_to_rc(new0, 1);  // line 33
         if (new1 != nullptr) add_to_rc(new1, 1);  // line 34
-        if (Engine::dcas(A0.cell_, A1.cell_, dcas::encode_ptr(old0), dcas::encode_ptr(old1),
+        if (Engine::dcas(A0.cell(), A1.cell(), dcas::encode_ptr(old0), dcas::encode_ptr(old1),
                          dcas::encode_ptr(new0), dcas::encode_ptr(new1))) {  // line 35
             destroy(old0);  // line 36
             destroy(old1);
@@ -634,53 +567,33 @@ class basic_domain {
         std::uint64_t version = 0;
     };
 
-    template <typename T>
-    class ll_field {
-      public:
-        ll_field() noexcept = default;
-        ll_field(const ll_field&) = delete;
-        ll_field& operator=(const ll_field&) = delete;
-
-        /// Decoded pointer, for a single owner — the same contract and the
-        /// same engine read as ptr_field::exclusive_get. Objects whose
-        /// lfrc_visit_children must report an ll_field's pointee use this.
-        T* exclusive_get() const noexcept {
-            static_assert(std::is_base_of_v<object, T>,
-                          "ll_field may only hold LFRC-managed objects");
-            return decode_exclusive<T>(const_cast<dcas::cell&>(ptr_));
-        }
-
-      private:
-        friend class basic_domain;
-        dcas::cell ptr_{0};
-        dcas::cell version_{dcas::encode_count(0)};
-    };
-
     /// LFRCLoadLinked: counted load plus a version witness for a later
     /// store_conditional.
     template <typename T>
     static link_token load_linked(ll_field<T>& A, local_ptr<T>& dest) {
+        static_assert(std::is_base_of_v<object, T>,
+                      "ll_field may only hold LFRC-managed objects");
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         T* old_dest = dest.p_;
         link_token token;
         for (;;) {
-            token.version = dcas::decode_count(Engine::read(A.version_));
-            const std::uint64_t raw = Engine::read(A.ptr_);
+            token.version = dcas::decode_count(Engine::read(A.version_cell()));
+            const std::uint64_t raw = Engine::read(A.ptr_cell());
             if (raw == 0) {
                 // Pair (version, null) must be consistent: re-validate.
-                if (dcas::decode_count(Engine::read(A.version_)) != token.version) continue;
+                if (dcas::decode_count(Engine::read(A.version_cell())) != token.version) continue;
                 dest.p_ = nullptr;
                 break;
             }
             T* obj = dcas::decode_ptr<T>(raw);
             dcas::cell& rc = static_cast<object*>(obj)->rc_;
             const std::uint64_t r = Engine::read(rc);
-            if (Engine::dcas(A.ptr_, rc, raw, r,
+            if (Engine::dcas(A.ptr_cell(), rc, raw, r,
                              raw, dcas::encode_count(dcas::decode_count(r) + 1))) {
                 counters().add_increments(1);
                 // The pointer was unchanged at the DCAS; if the version
                 // also still matches, the token is coherent with the value.
-                if (dcas::decode_count(Engine::read(A.version_)) != token.version) {
+                if (dcas::decode_count(Engine::read(A.version_cell())) != token.version) {
                     destroy(obj);  // stale pairing: give the count back, retry
                     continue;
                 }
@@ -707,9 +620,9 @@ class basic_domain {
         reclaim::epoch_domain::global().enter();
         out.pinned_ = true;
         for (;;) {
-            const std::uint64_t v = dcas::decode_count(Engine::read(A.version_));
-            const std::uint64_t raw = Engine::read(A.ptr_);
-            if (dcas::decode_count(Engine::read(A.version_)) != v) continue;
+            const std::uint64_t v = dcas::decode_count(Engine::read(A.version_cell()));
+            const std::uint64_t raw = Engine::read(A.ptr_cell());
+            if (dcas::decode_count(Engine::read(A.version_cell())) != v) continue;
             out.p_ = dcas::decode_ptr<T>(raw);
             if (version_out != nullptr) *version_out = v;
             break;
@@ -726,7 +639,7 @@ class basic_domain {
     static bool store_conditional(ll_field<T>& A, link_token token, T* old0, T* new0) {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (new0 != nullptr) add_to_rc(new0, 1);
-        if (Engine::dcas(A.ptr_, A.version_, dcas::encode_ptr(old0),
+        if (Engine::dcas(A.ptr_cell(), A.version_cell(), dcas::encode_ptr(old0),
                          dcas::encode_count(token.version), dcas::encode_ptr(new0),
                          dcas::encode_count(token.version + 1))) {
             destroy(old0);
@@ -736,9 +649,9 @@ class basic_domain {
         return false;
     }
 
-    /// store_conditional that additionally requires a flag to hold a given
-    /// value AT the write's linearization point (a 3-word CASN over ptr,
-    /// version, and the flag cell). The store subsystem uses this to install
+    /// store_conditional that additionally requires F to be false AT the
+    /// write's linearization point (dcas::install_if_live, a 3-word CASN
+    /// over ptr, version, and the flag cell). The store subsystem uses this to install
     /// values only into entries that are still live: a recheck-after-write
     /// protocol can let a value be transiently visible in an entry a racing
     /// eraser already claimed — visible, then silently gone with no erase to
@@ -746,17 +659,10 @@ class basic_domain {
     /// window. Count bookkeeping is store_conditional's exactly.
     template <typename T>
     static bool store_conditional_if_flag(ll_field<T>& A, link_token token, T* old0,
-                                          T* new0, flag_field& F, bool flag_required) {
+                                          T* new0, flag_field& F) {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (new0 != nullptr) add_to_rc(new0, 1);
-        typename Engine::casn_op ops[3] = {
-            {&A.ptr_, dcas::encode_ptr(old0), dcas::encode_ptr(new0)},
-            {&A.version_, dcas::encode_count(token.version),
-             dcas::encode_count(token.version + 1)},
-            {&F.cell_, flag_field::encode(flag_required),
-             flag_field::encode(flag_required)},
-        };
-        if (Engine::casn(ops, 3)) {
+        if (dcas::install_if_live(A, token.version, old0, new0, F)) {
             destroy(old0);
             return true;
         }
@@ -775,13 +681,7 @@ class basic_domain {
     static bool claim_and_set_flag(ll_field<T>& A, link_token token, T* old0,
                                    flag_field& F) {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
-        typename Engine::casn_op ops[3] = {
-            {&A.ptr_, dcas::encode_ptr(old0), 0},
-            {&A.version_, dcas::encode_count(token.version),
-             dcas::encode_count(token.version + 1)},
-            {&F.cell_, flag_field::encode(false), flag_field::encode(true)},
-        };
-        if (Engine::casn(ops, 3)) {
+        if (dcas::claim_mark_dead(A, token.version, old0, F)) {
             destroy(old0);
             return true;
         }
@@ -795,9 +695,9 @@ class basic_domain {
         reclaim::epoch_domain::guard pin(reclaim::epoch_domain::global());
         if (v != nullptr) add_to_rc(v, 1);
         for (;;) {
-            const std::uint64_t ver = Engine::read(A.version_);
-            const std::uint64_t old_raw = Engine::read(A.ptr_);
-            if (Engine::dcas(A.ptr_, A.version_, old_raw, ver, dcas::encode_ptr(v),
+            const std::uint64_t ver = Engine::read(A.version_cell());
+            const std::uint64_t old_raw = Engine::read(A.ptr_cell());
+            if (Engine::dcas(A.ptr_cell(), A.version_cell(), old_raw, ver, dcas::encode_ptr(v),
                              dcas::encode_count(dcas::decode_count(ver) + 1))) {
                 destroy(dcas::decode_ptr<T>(old_raw));
                 return;
@@ -807,8 +707,8 @@ class basic_domain {
 
     /// Extension hook (cycle_collector.hpp): enumerate the children of an
     /// object. Requires exclusive access to the object's fields — i.e. a
-    /// quiescent moment — since the fields are read without engine
-    /// mediation.
+    /// quiescent moment — since lfrc_visit_children reads them with
+    /// exclusive_get.
     static void visit_children_quiescent(object* p, child_visitor& v) {
         p->lfrc_visit_children(v);
     }
@@ -827,18 +727,6 @@ class basic_domain {
     }
 
   private:
-    /// exclusive_get's read: through the engine, which resolves a parked
-    /// descriptor word instead of returning it.
-    template <typename T>
-    static T* decode_exclusive(dcas::cell& c) noexcept {
-#if defined(LFRC_ENABLE_MUTATIONS)
-        if (mutate_raw_exclusive_get().load(std::memory_order_relaxed)) {
-            return reinterpret_cast<T*>(c.raw().load(std::memory_order_acquire));
-        }
-#endif
-        return dcas::decode_ptr<T>(Engine::read(c));
-    }
-
     /// Collect children of a dead object and hand its storage to the epoch
     /// domain (line 15's `delete`, deferred — see the header comment).
     static void retire_garbage(object* p, child_visitor& children) {

@@ -2,7 +2,10 @@
 // operations end to end) and `borrowed` (the same ownership discipline with
 // the epoch-borrowed read fast path for traversals).
 //
-// Both policies store links in Domain::ptr_field / ll_field cells, so the
+// Both policies derive their fields (Domain::ptr_field / flag_field /
+// ll_field are cell_ops' link / flag / vslot over the domain's engine),
+// peek and flag operations from cell_ops, like every other policy; the
+// link and vslot writes go through the domain's Figure-2 operations, so the
 // reference counts themselves carry the protection: a guard slot holds a
 // counted reference (LFRCLoad acquired it, LFRCDestroy releases it when the
 // slot is overwritten or the guard dies). Nothing is ever handed to a
@@ -19,7 +22,6 @@
 // keeps changing, because a live field holds a count on its referent.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,7 +42,9 @@ namespace lfrc::smr {
 ///    pre-PR-3 put-vs-erase lost-update window, re-seeded to prove the
 ///    store detector was not blinded by the engine's sequence-tag words.
 template <typename Domain, bool Mutated = false, bool FlagBlind = false>
-class counted {
+class counted : public cell_ops<typename Domain::engine> {
+    using ops = cell_ops<typename Domain::engine>;
+
   public:
     using domain_type = Domain;
 
@@ -54,10 +58,10 @@ class counted {
     static constexpr std::size_t guard_slots = 4;
 
     template <typename Node>
-    using link = typename Domain::template ptr_field<Node>;
-    using flag = typename Domain::flag_field;
+    using link = typename ops::template link<Node>;
+    using flag = typename ops::flag;
     template <typename T>
-    using vslot = typename Domain::template ll_field<T>;
+    using vslot = typename ops::template vslot<T>;
 
     /// Adapts the node's smr_children enumeration to the domain's tracing
     /// hook, so the recursive-destruction chain of LFRCDestroy works.
@@ -65,16 +69,8 @@ class counted {
     class node_base : public Domain::object {
       private:
         void lfrc_visit_children(typename Domain::child_visitor& v) noexcept override {
-            [[maybe_unused]] std::size_t visited = 0;
-            static_cast<Node*>(this)->smr_children([&v, &visited](auto& field) {
-                ++visited;
-                v.on_child(field.exclusive_get());
-            });
-            if constexpr (detail::has_smr_link_count<Node>::value) {
-                assert(visited == Node::smr_link_count &&
-                       "smr_children visited a different number of fields "
-                       "than smr_link_count declares");
-            }
+            detail::visit_children(*static_cast<Node*>(this),
+                                   [&v](auto& field) { v.on_child(field.exclusive_get()); });
         }
     };
 
@@ -170,12 +166,8 @@ class counted {
         typename Domain::object* slots_[guard_slots] = {};
     };
 
-    // ---- link / flag / vslot operations ---------------------------------
+    // ---- link / vslot writes: the domain's counted operations -----------
 
-    template <typename Node>
-    Node* peek(link<Node>& A) noexcept {
-        return Domain::peek(A);
-    }
     template <typename Node>
     void init_link(link<Node>& A, Node* v) {
         Domain::store(A, v);
@@ -189,8 +181,6 @@ class counted {
                         bool new_flag) {
         return Domain::dcas_ptr_flag(A, F, old0, old_flag, new0, new_flag);
     }
-    bool flag_load(flag& f) noexcept { return f.load(); }
-    bool flag_cas(flag& f, bool expected, bool desired) { return f.cas(expected, desired); }
 
     template <typename Node>
     void retire_unlinked(Node*) noexcept {}  // the count transfer already did it
@@ -213,8 +203,7 @@ class counted {
                                              new0);
         } else {
             return Domain::store_conditional_if_flag(s, typename Domain::link_token{ver},
-                                                     old0, new0, dead,
-                                                     /*flag_required=*/false);
+                                                     old0, new0, dead);
         }
     }
     template <typename T>
@@ -274,7 +263,7 @@ class borrowed : public counted<Domain> {
         template <typename Node>
         Node* protect(std::size_t i, typename base::template link<Node>& src) {
             for (;;) {
-                Node* raw = Domain::peek(src);
+                Node* raw = base::peek(src);
                 if (raw == nullptr) {
                     clear(i);
                     return nullptr;
@@ -291,7 +280,7 @@ class borrowed : public counted<Domain> {
         /// license — upgrade() first.
         template <typename Node>
         Node* traverse(std::size_t i, typename base::template link<Node>& src) {
-            Node* raw = Domain::peek(src);
+            Node* raw = base::peek(src);
             set(i, raw, false);
             return raw;
         }

@@ -193,12 +193,13 @@ class runtime {
             // so the crossing decrementer skipped the retire: re-stamp.
             stamp(n);
         } else if (g >= n->review_stamp_.load(std::memory_order_seq_cst) + 2) {
-            // smr_release_children_ reads n's cells raw (cell_link::
-            // exclusive_get). Sound: every deferred engine operation, and so
-            // every helper it runs, is under a guard pinned while n could
-            // still be reached, and this free waits for global ≥ r + 3,
-            // past every such pin. No helper that validated against n can
-            // still be running.
+            // smr_release_children_ reads n's cells as their single owner
+            // (exclusive_get, through the engine, so a word a stale helper
+            // parked there resolves to the value). Sound: every deferred
+            // engine operation, and so every helper it runs, is under a
+            // guard pinned while n could still be reached, and this free
+            // waits for global ≥ r + 3, past every such pin. No helper that
+            // validated against n can still be running.
             n->smr_release_children_();
             delete n;  // lfrc-lint: arena-route
             return;
@@ -293,17 +294,9 @@ class deferred : public cell_ops<Engine> {
     struct node_base : deferred_detail::deferred_node {
       private:
         void smr_release_children_() noexcept override {
-            [[maybe_unused]] std::size_t visited = 0;
             auto& r = rt::instance();
-            static_cast<Node*>(this)->smr_children([&r, &visited](auto& field) {
-                ++visited;
-                r.release(field.exclusive_get());
-            });
-            if constexpr (smr::detail::has_smr_link_count<Node>::value) {
-                assert(visited == Node::smr_link_count &&
-                       "smr_children visited a different number of fields "
-                       "than smr_link_count declares");
-            }
+            smr::detail::visit_children(*static_cast<Node*>(this),
+                                        [&r](auto& field) { r.release(field.exclusive_get()); });
         }
     };
 
@@ -369,10 +362,10 @@ class deferred : public cell_ops<Engine> {
         reclaim::epoch_domain::guard pin_{reclaim::epoch_domain::global()};
     };
 
-    // ---- link / vslot writes: cell_ops' raw CAS/DCAS/CASN plus deltas ----
+    // ---- link / vslot writes: the raw CAS/DCAS/CASN plus deltas ----------
 
     template <typename Node>
-    void init_link(cell_link<Node>& A, Node* v) {
+    void init_link(typename ops::template link<Node>& A, Node* v) {
         auto& r = rt::instance();
         r.add_ref(v);
         Node* old = A.exclusive_get();
@@ -383,7 +376,7 @@ class deferred : public cell_ops<Engine> {
     /// the transferred counts are accounted before any window in which
     /// another thread could observe the new link.
     template <typename Node>
-    bool cas_link(cell_link<Node>& A, Node* old0, Node* new0) {
+    bool cas_link(typename ops::template link<Node>& A, Node* old0, Node* new0) {
         auto& r = rt::instance();
         r.add_ref(new0);
         if (ops::cas_link(A, old0, new0)) {
@@ -394,8 +387,8 @@ class deferred : public cell_ops<Engine> {
         return false;
     }
     template <typename Node>
-    bool dcas_link_flag(cell_link<Node>& A, typename ops::flag& F, Node* old0, bool old_flag,
-                        Node* new0, bool new_flag) {
+    bool dcas_link_flag(typename ops::template link<Node>& A, typename ops::flag& F, Node* old0,
+                        bool old_flag, Node* new0, bool new_flag) {
         auto& r = rt::instance();
         r.add_ref(new0);
         if (ops::dcas_link_flag(A, F, old0, old_flag, new0, new_flag)) {
@@ -410,7 +403,7 @@ class deferred : public cell_ops<Engine> {
     void retire_unlinked(Node*) noexcept {}  // the count transfer already did it
 
     template <typename Node>
-    void reset_chain(cell_link<Node>& head) {
+    void reset_chain(typename ops::template link<Node>& head) {
         // Severing the head reference unravels the chain iteratively
         // through the epoch domain (children release on each free).
         Node* n = head.exclusive_get();
@@ -418,14 +411,14 @@ class deferred : public cell_ops<Engine> {
         rt::instance().release(n);
     }
     template <typename Node>
-    void register_root(cell_link<Node>&) noexcept {}
+    void register_root(typename ops::template link<Node>&) noexcept {}
 
     template <typename T>
-    bool vinstall_if_live(cell_vslot<T>& s, std::uint64_t ver, T* old0, T* new0,
-                          typename ops::flag& dead) {
+    bool vinstall_if_live(typename ops::template vslot<T>& s, std::uint64_t ver, T* old0,
+                          T* new0, typename ops::flag& dead) {
         auto& r = rt::instance();
         r.add_ref(new0);
-        if (!ops::install_if_live(s, ver, old0, new0, dead)) {
+        if (!dcas::install_if_live(s, ver, old0, new0, dead)) {
             r.release(new0);
             return false;
         }
@@ -433,9 +426,9 @@ class deferred : public cell_ops<Engine> {
         return true;
     }
     template <typename T>
-    bool vclaim_mark_dead(cell_vslot<T>& s, std::uint64_t ver, T* old0,
+    bool vclaim_mark_dead(typename ops::template vslot<T>& s, std::uint64_t ver, T* old0,
                           typename ops::flag& dead) {
-        if (!ops::claim_mark_dead(s, ver, old0, dead)) return false;
+        if (!dcas::claim_mark_dead(s, ver, old0, dead)) return false;
         rt::instance().release(old0);
         return true;
     }

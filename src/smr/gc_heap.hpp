@@ -11,8 +11,8 @@
 //   protection   guard slots are gc::local shadow-stack roots; any node a
 //                slot holds is reachable at the next collection. step()
 //                parks at a safepoint so other threads can collect.
-//   tracing      node_base provides gc_trace, marking every link/vslot
-//                cell the node's smr_children enumerates; container head
+//   tracing      node_base provides gc_trace, marking every link cell
+//                the node's smr_children enumerates; container head
 //                cells are registered as global roots (register_root).
 //   retire       nothing to do — unlinked nodes become garbage when the
 //                last slot lets go.
@@ -28,7 +28,6 @@
 // deregistered.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -50,22 +49,14 @@ class gc_heap : public cell_ops<dcas::locked_engine> {
     static constexpr std::size_t guard_slots = 4;
 
     /// Provides the member gc_traits<Node> looks for: trace = mark every
-    /// pointer-bearing cell smr_children enumerates (flags are never
-    /// enumerated — mark_cell on a non-pointer cell is out of contract).
+    /// link cell smr_children enumerates (flags are never enumerated —
+    /// mark_cell on a non-pointer cell is out of contract — and a gc node
+    /// holds no vslot: vprotect below refuses them).
     template <typename Node>
     struct node_base {
         void gc_trace(gc::marker& m) const {
-            [[maybe_unused]] std::size_t visited = 0;
-            const_cast<Node*>(static_cast<const Node*>(this))
-                ->smr_children([&m, &visited](auto& field) {
-                    ++visited;
-                    field.gc_mark(m);
-                });
-            if constexpr (detail::has_smr_link_count<Node>::value) {
-                assert(visited == Node::smr_link_count &&
-                       "smr_children visited a different number of fields "
-                       "than smr_link_count declares");
-            }
+            detail::visit_children(*const_cast<Node*>(static_cast<const Node*>(this)),
+                                   [&m](auto& field) { m.mark_cell(field.cell()); });
         }
     };
 

@@ -109,7 +109,7 @@ class manual_policy : public cell_ops<Engine> {
     /// declare smr_dispose() to free satellite allocations (the kv entry's
     /// value box) before the node itself goes.
     template <typename Node>
-    static void reset_chain(cell_link<Node>& head) {
+    static void reset_chain(typename ops::template link<Node>& head) {
         Node* n = head.exclusive_get();
         head.exclusive_set(nullptr);
         while (n != nullptr) {
@@ -120,20 +120,20 @@ class manual_policy : public cell_ops<Engine> {
         }
     }
     template <typename Node>
-    static void register_root(cell_link<Node>&) noexcept {}
+    static void register_root(typename ops::template link<Node>&) noexcept {}
 
     /// The CASN winner retires the value it displaced.
     template <typename T>
-    static bool vinstall_if_live(cell_vslot<T>& s, std::uint64_t ver, T* old0, T* new0,
-                                 typename ops::flag& dead) {
-        if (!ops::install_if_live(s, ver, old0, new0, dead)) return false;
+    static bool vinstall_if_live(typename ops::template vslot<T>& s, std::uint64_t ver,
+                                 T* old0, T* new0, typename ops::flag& dead) {
+        if (!dcas::install_if_live(s, ver, old0, new0, dead)) return false;
         if (old0 != nullptr) Derived::retire_object(old0);
         return true;
     }
     template <typename T>
-    static bool vclaim_mark_dead(cell_vslot<T>& s, std::uint64_t ver, T* old0,
+    static bool vclaim_mark_dead(typename ops::template vslot<T>& s, std::uint64_t ver, T* old0,
                                  typename ops::flag& dead) {
-        if (!ops::claim_mark_dead(s, ver, old0, dead)) return false;
+        if (!dcas::claim_mark_dead(s, ver, old0, dead)) return false;
         if (old0 != nullptr) Derived::retire_object(old0);
         return true;
     }

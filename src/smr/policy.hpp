@@ -17,10 +17,12 @@
 //             per-thread delta tables, zero-count nodes retired into the
 //             epoch domain
 //
-// Two families implement them. counted and borrowed are domain-backed
-// (borrowed derives from counted and owns only its guard); the other five
-// are cell-backed and derive their fields, link/flag/vslot operations and,
-// for ebr/leaky/deferred, their guard from cell_ops below.
+// All seven derive their fields and raw link/flag operations from cell_ops
+// below, and ebr/leaky/deferred their guard as well. What differs is the
+// bookkeeping a policy wraps around those operations: counted routes them
+// through the domain's Figure-2 operations (borrowed derives from counted
+// and owns only its guard), deferred records ±1 deltas, and the manual
+// policies retire what a CAS displaced.
 //
 // This mirrors Meyer & Wolff's observation that reclamation factors out of
 // a lock-free structure behind a guard/retire interface, and Anderson/
@@ -29,10 +31,10 @@
 // ---- The policy contract (duck-typed; `policy` below checks the core) ----
 //
 // Types:
-//   P::link<Node>   one-word pointer field linking Node objects. For the
-//                   domain-backed policies this is Domain::ptr_field (the
-//                   count lives in the pointee); for the cell-backed ones
-//                   it is a raw dcas::cell (cell_link below).
+//   P::link<Node>   one-word pointer field linking Node objects: a
+//                   dcas::link over the policy's engine, the type the
+//                   engine's domain calls ptr_field (for counted policies
+//                   the count lives in the pointee).
 //   P::flag         one-word boolean field DCAS-able alongside a link
 //                   (logical-deletion marks).
 //   P::vslot<T>     versioned pointer slot (pointer + version cell pair);
@@ -103,6 +105,7 @@
 //                   bounded flush; drain returns the residual backlog.
 #pragma once
 
+#include <cassert>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -110,7 +113,7 @@
 #include <utility>
 
 #include "dcas/cell.hpp"
-#include "gc/heap.hpp"
+#include "dcas/fields.hpp"
 
 namespace lfrc::smr {
 
@@ -134,96 +137,25 @@ concept policy = requires(P& p, typename P::guard& g, std::size_t i) {
     { p.drain(1) } -> std::convertible_to<std::uint64_t>;
 };
 
-// ---- Cell-backed fields and operations (manual, gc and deferred) ----------
-//
-// The policies fall into two families. The domain-backed ones (counted,
-// and borrowed, which derives from it) get their fields and operations
-// from the domain (ptr_field, flag_field, ll_field). Every other policy
-// stores plain encoded values in dcas::cells, so the fields are
-// sim-instrumented for free, and derives its operations from cell_ops.
+// ---- Fields and raw operations (every policy) -----------------------------
 
-/// One-word pointer link. All concurrent access goes through the policy's
-/// engine; exclusive_get/exclusive_set are for single-owner phases only.
-template <typename Node>
-class cell_link {
-  public:
-    cell_link() noexcept = default;
-
-    Node* exclusive_get() const noexcept {
-        return dcas::decode_ptr<Node>(cell_.raw().load(std::memory_order_acquire));  // lfrc-lint: order(cell-publish)
-    }
-    void exclusive_set(Node* p) noexcept {
-        cell_.raw().store(dcas::encode_ptr(p), std::memory_order_release);  // lfrc-lint: order(cell-publish)
-    }
-
-    void gc_mark(gc::marker& m) const { m.mark_cell(cell_); }
-
-    dcas::cell& cell() noexcept { return cell_; }
-    const dcas::cell& cell() const noexcept { return cell_; }
-
-  private:
-    dcas::cell cell_{0};
-};
-
-/// One-word boolean flag, encoded like a count so engine descriptors can
-/// never be mistaken for a value. Never enumerated by smr_children (it
-/// holds no pointer), hence no gc_mark.
-template <typename Engine>
-class cell_flag {
-  public:
-    cell_flag() noexcept : cell_(dcas::encode_count(0)) {}
-
-    bool load() noexcept { return dcas::decode_count(Engine::read(cell_)) != 0; }
-    bool cas(bool expected, bool desired) noexcept {
-        return Engine::cas(cell_, encode(expected), encode(desired));
-    }
-
-    static std::uint64_t encode(bool b) noexcept { return dcas::encode_count(b ? 1 : 0); }
-
-    dcas::cell& cell() noexcept { return cell_; }
-
-  private:
-    dcas::cell cell_;
-};
-
-/// Versioned pointer slot: a (pointer, version) cell pair, the manual-SMR
-/// mirror of the domain's ll_field. Reads validate version/pointer/version;
-/// writes are engine CASNs that bump the version, so ABA on the pointer
-/// alone can never satisfy a conditional store.
-template <typename T>
-class cell_vslot {
-  public:
-    cell_vslot() noexcept : version_(dcas::encode_count(0)) {}
-
-    T* exclusive_get() const noexcept {
-        return dcas::decode_ptr<T>(ptr_.raw().load(std::memory_order_acquire));  // lfrc-lint: order(cell-publish)
-    }
-
-    void gc_mark(gc::marker& m) const { m.mark_cell(ptr_); }
-
-    dcas::cell& ptr_cell() noexcept { return ptr_; }
-    dcas::cell& version_cell() noexcept { return version_; }
-
-  private:
-    dcas::cell ptr_{0};
-    dcas::cell version_;
-};
-
-/// The cell encoding of every link/flag/vslot operation, written once for
-/// the cell-backed policies (manual_policy, gc_heap, deferred), which
-/// derive from it. Operations here are raw: no counts, no retirement. A
-/// policy that owes bookkeeping around a successful or failed CAS (where a
-/// displaced value goes, deferred's ±1 deltas) wraps the raw call.
+/// The fields (dcas/fields.hpp) and the engine encoding of every link/flag
+/// operation, written once for every policy, which derive from it.
+/// Operations here are raw: no counts, no retirement. A policy that owes
+/// bookkeeping around a successful or failed CAS (counted's count
+/// transfer, deferred's ±1 deltas, where a displaced value goes) wraps the
+/// raw call, or the raw 3-word CASNs dcas::install_if_live and
+/// dcas::claim_mark_dead behind vinstall_if_live/vclaim_mark_dead.
 template <typename Engine>
 class cell_ops {
   public:
     using engine_type = Engine;
 
     template <typename Node>
-    using link = cell_link<Node>;
-    using flag = cell_flag<Engine>;
+    using link = dcas::link<Engine, Node>;
+    using flag = dcas::flag<Engine>;
     template <typename T>
-    using vslot = cell_vslot<T>;
+    using vslot = dcas::vslot<Engine, T>;
 
     template <typename Node>
     static Node* peek(link<Node>& A) noexcept {
@@ -285,32 +217,6 @@ class cell_ops {
             return vprotect<T>(i, s, ver);
         }
     };
-
-  protected:
-    /// CASN {ptr old->new, version v->v+1, flag false->false}: install a
-    /// value iff the slot is unchanged AND the entry is still live — the
-    /// cell mirror of the domain's store_conditional_if_flag.
-    template <typename T>
-    static bool install_if_live(vslot<T>& s, std::uint64_t ver, T* old0, T* new0, flag& dead) {
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(new0)},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(false)},
-        };
-        return Engine::casn(ops, 3);
-    }
-    /// CASN {ptr old->null, version v->v+1, flag false->true}: the erase
-    /// claim — take the value and kill the entry in one step, so a racing
-    /// write can never land in a claimed entry (store.hpp's invariant).
-    template <typename T>
-    static bool claim_mark_dead(vslot<T>& s, std::uint64_t ver, T* old0, flag& dead) {
-        typename Engine::casn_op ops[3] = {
-            {&s.ptr_cell(), dcas::encode_ptr(old0), dcas::encode_ptr(static_cast<T*>(nullptr))},
-            {&s.version_cell(), dcas::encode_count(ver), dcas::encode_count(ver + 1)},
-            {&dead.cell(), flag::encode(false), flag::encode(true)},
-        };
-        return Engine::casn(ops, 3);
-    }
 };
 
 namespace detail {
@@ -329,10 +235,11 @@ namespace detail {
 //     smr_children must accept a generic visitor — cores static_assert it,
 //     so templates the linter cannot expand are still covered;
 //   * debug/sim builds assert at trace time that the enumeration visits
-//     exactly smr_link_count fields (counted.hpp / gc_heap.hpp adapters).
+//     exactly smr_link_count fields (visit_children below, the one walk
+//     behind every policy's node_base adapter).
 
-/// Counting visitor: accepts any field reference, only increments. Drives
-/// both the invocability check and the trace-time count assertion.
+/// Counting visitor: accepts any field reference, only increments. The
+/// invocability check below calls smr_children with it.
 struct child_counter {
     std::size_t n = 0;
     template <typename Field>
@@ -356,6 +263,23 @@ struct children_invocable<
 template <typename Node>
 inline constexpr bool children_cover_all_links_v =
     has_smr_link_count<Node>::value && children_invocable<Node>::value;
+
+/// Calls f on every field node.smr_children enumerates: the child walk of
+/// counted's lfrc_visit_children, deferred's child release and gc_heap's
+/// gc_trace.
+template <typename Node, typename F>
+void visit_children(Node& node, F&& f) {
+    [[maybe_unused]] std::size_t visited = 0;
+    node.smr_children([&f, &visited](auto& field) {
+        ++visited;
+        f(field);
+    });
+    if constexpr (has_smr_link_count<Node>::value) {
+        assert(visited == Node::smr_link_count &&
+               "smr_children visited a different number of fields "
+               "than smr_link_count declares");
+    }
+}
 
 }  // namespace detail
 

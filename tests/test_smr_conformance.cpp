@@ -62,6 +62,25 @@ using AllPolicies =
                      smr::hp<>, smr::leaky<>, smr::gc_heap, smr::deferred<>>;
 TYPED_TEST_SUITE(SmrConformance, AllPolicies);
 
+// One field layer (dcas/fields.hpp): every policy's link/flag/vslot is the
+// type its engine's domain calls ptr_field/flag_field/ll_field, so every
+// policy's single-owner reads go through the engine.
+struct field_node;
+template <typename P, typename Domain>
+inline constexpr bool fields_are_domains_v =
+    std::is_same_v<typename P::template link<field_node>,
+                   typename Domain::template ptr_field<field_node>> &&
+    std::is_same_v<typename P::flag, typename Domain::flag_field> &&
+    std::is_same_v<typename P::template vslot<field_node>,
+                   typename Domain::template ll_field<field_node>>;
+static_assert(fields_are_domains_v<smr::deferred<>, domain>);
+static_assert(fields_are_domains_v<smr::ebr<>, domain>);
+static_assert(fields_are_domains_v<smr::hp<>, domain>);
+static_assert(fields_are_domains_v<smr::leaky<>, domain>);
+static_assert(fields_are_domains_v<smr::counted<domain>, domain>);
+static_assert(fields_are_domains_v<smr::borrowed<domain>, domain>);
+static_assert(fields_are_domains_v<smr::gc_heap, locked_domain>);
+
 TYPED_TEST(SmrConformance, PolicySurface) {
     using P = TypeParam;
     static_assert(smr::policy<P>, "every implementation models smr::policy");

@@ -34,7 +34,6 @@ dependency beyond the standard library, so the check ALWAYS runs.
 Usage:
   lfrc_lint.py --root REPO [PATHS...]       lint paths (default: src)
   lfrc_lint.py --root REPO --self-test      run the fixture corpus
-  lfrc_lint.py --root REPO --sarif OUT ...  also write SARIF 2.1.0
   lfrc_lint.py --root REPO --order-table OUT src   fence-pairing table
   lfrc_lint.py --list-rules
 Exit codes: 0 clean, 1 findings (or fixture expectation mismatch), 2 usage.
@@ -43,7 +42,6 @@ Exit codes: 0 clean, 1 findings (or fixture expectation mismatch), 2 usage.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -96,36 +94,6 @@ def lint_file(root: str, path: str) -> tuple[list[Finding], list[OrderSite]]:
     findings, sites = run_rules(SourceModel(relpath, text), relpath, RULES)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings, sites
-
-
-def write_sarif(out_path: str, findings: list[Finding]):
-    """SARIF 2.1.0 for the analysis CI cell / code-scanning consumers."""
-    sarif = {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                   "master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "lfrc_lint",
-                "informationUri": "tools/lfrc_lint/README.md",
-                "rules": [{"id": r,
-                           "shortDescription": {"text": RULE_DOC[r]}}
-                          for r in RULES],
-            }},
-            "results": [{
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [{"physicalLocation": {
-                    "artifactLocation": {"uri": f.path.replace(os.sep, "/")},
-                    "region": {"startLine": f.line},
-                }}],
-            } for f in findings],
-        }],
-    }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(sarif, fh, indent=2)
-        fh.write("\n")
 
 
 def self_test(root: str) -> int:
@@ -193,8 +161,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture corpus instead of linting paths")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("--sarif", metavar="OUT", default=None,
-                    help="also write findings as SARIF 2.1.0 to OUT")
     ap.add_argument("--order-table", metavar="OUT", default=None,
                     help="write the R6 fence-pairing table (markdown) to "
                          "OUT ('-' for stdout)")
@@ -220,8 +186,6 @@ def main(argv: list[str]) -> int:
     all_findings.extend(order_pairing_findings(all_sites))
     for f in all_findings:
         print(f.render())
-    if args.sarif:
-        write_sarif(args.sarif, all_findings)
     if args.order_table:
         table = order_table(all_sites)
         if args.order_table == "-":

@@ -82,9 +82,9 @@ ORDER_AUDITED_DIRS = (
 
 RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
 
-LINK_TYPE_RE = re.compile(r"(?:\b|::)(link|ptr_field|cell_link)\s*<")
-VSLOT_TYPE_RE = re.compile(r"(?:\b|::)(vslot|ll_field|cell_vslot)\s*<")
-FLAG_TYPE_RE = re.compile(r"(?:\b|::)(flag|flag_field|cell_flag)\b")
+LINK_TYPE_RE = re.compile(r"(?:\b|::)(link|ptr_field)\s*<")
+VSLOT_TYPE_RE = re.compile(r"(?:\b|::)(vslot|ll_field)\s*<")
+FLAG_TYPE_RE = re.compile(r"(?:\b|::)(flag|flag_field)\b")
 ATOMIC_PTR_RE = re.compile(r"std\s*::\s*atomic\s*<[^;{}()]*\*")
 NODE_BASE_RE = re.compile(r"\bnode_base\s*<")
 
